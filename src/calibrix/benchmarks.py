@@ -291,19 +291,20 @@ def plastic_cross_sensitivities(data: TwoStepData, kappa_e, kappa_p):
     def response(ke):
         return uniaxial_response(ke, kappa_p, data.eps_plastic)
 
-    def jac_p(ke):
+    def jac_p(ke, base):
         model = plastic_forward_model(ke, data.eps_plastic)
-        return jacobian_external_nd(model, kappa_p)
+        return jacobian_external_nd(model, kappa_p, base=base)
 
     s0 = response(kappa_e)
-    J0 = jac_p(kappa_e)
+    J0 = jac_p(kappa_e, s0)
     J_pe = np.empty((s0.size, 2))
     dJp_dke = np.empty(J0.shape + (2,))
     for j in range(2):
         ke = kappa_e.copy()
         ke[j] += h[j]
-        J_pe[:, j] = (response(ke) - s0) / h[j]
-        dJp_dke[:, :, j] = (jac_p(ke) - J0) / h[j]
+        sj = response(ke)
+        J_pe[:, j] = (sj - s0) / h[j]
+        dJp_dke[:, :, j] = (jac_p(ke, sj) - J0) / h[j]
     return J_pe, dJp_dke
 
 

@@ -17,8 +17,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import DivergenceError, JacobianError
 
-_Z_TABLE = {0.95: 1.96, 0.68: 1.0}
-
 
 @dataclass(eq=False)
 class ForwardModel:
@@ -88,7 +86,7 @@ def jacobian_external_nd(
 ) -> np.ndarray:
     """Forward-difference sensitivity matrix (n_data x n_params).
 
-    Costs n_params + 1 forward evaluations (one if ``base`` is supplied).
+    Costs n_params + 1 forward evaluations (n_params if ``base`` is supplied).
     A negative step gives the backward difference.
     """
     kappa = np.asarray(kappa, dtype=float)

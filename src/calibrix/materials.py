@@ -22,6 +22,7 @@ SIGMA_0 = 1.0  # N/mm^2
 
 _SQ23 = math.sqrt(2.0 / 3.0)
 _EYE3 = np.eye(3)
+_EPS = float(np.finfo(float).eps)
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
@@ -179,7 +180,16 @@ class MaterialState:
 
 
 def _dev(t: np.ndarray) -> np.ndarray:
-    return t - (np.trace(t) / 3.0) * _EYE3
+    return t - (t.trace() / 3.0) * _EYE3
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    """Frobenius inner product x:y of two 3x3 tensors.
+
+    The same length-9 BLAS dot that ``np.tensordot(x, y)`` reaches, so the
+    result is bit-identical, without its reshape and transpose overhead.
+    """
+    return float(np.dot(x.ravel(), y.ravel()))
 
 
 def _solve_plastic_multiplier(naa, nab, nbb, G, pp: PlasticParams, dt):
@@ -223,7 +233,7 @@ def _solve_plastic_multiplier(naa, nab, nbb, G, pp: PlasticParams, dt):
                 lo, r_lo = x, r
             else:
                 hi, r_hi = x, r
-            if hi - lo <= 4.0 * np.finfo(float).eps * max(abs(hi), 1e-300):
+            if hi - lo <= 4.0 * _EPS * max(abs(hi), 1e-300):
                 return x
             x_new = x - r / d if d != 0.0 else lo
             if not (lo < x_new < hi):
@@ -292,20 +302,20 @@ def integrate_viscoplastic_step(
         raise IntegrationError(f"step size must be positive, got dt={dt}")
     K, G = ep.bulk, ep.shear
     strain = np.asarray(strain, dtype=float)
-    tr_e = np.trace(strain)
+    tr_e = strain.trace()
     dev_e = strain - (tr_e / 3.0) * _EYE3
 
     a = 2.0 * G * (dev_e - state.viscous_strain)
     xi_trial = a - state.backstress
-    f_trial = 0.5 * float(np.tensordot(xi_trial, xi_trial)) - pp.k * pp.k / 3.0
+    f_trial = 0.5 * _inner(xi_trial, xi_trial) - pp.k * pp.k / 3.0
 
     if f_trial < 0.0:
         sigma = K * tr_e * _EYE3 + a
         return state, sigma
 
-    naa = float(np.tensordot(a, a))
-    nab = float(np.tensordot(a, state.backstress))
-    nbb = float(np.tensordot(state.backstress, state.backstress))
+    naa = _inner(a, a)
+    nab = _inner(a, state.backstress)
+    nbb = _inner(state.backstress, state.backstress)
     dlam = _solve_plastic_multiplier(naa, nab, nbb, G, pp, dt)
 
     if dlam == 0.0:
@@ -314,7 +324,7 @@ def integrate_viscoplastic_step(
 
     theta = 1.0 / (1.0 + pp.b * _SQ23 * dlam)
     xi_hat = a - theta * state.backstress
-    nhat = float(np.linalg.norm(xi_hat))
+    nhat = math.sqrt(_inner(xi_hat, xi_hat))
     n_dir = _dev(xi_hat / nhat)
 
     ev_new = state.viscous_strain + dlam * n_dir
@@ -336,9 +346,12 @@ def uniaxial_plastic_driver(
     """Displacement-controlled uniaxial tension of a single material point.
 
     Drives the axial strain through ``axial_strain`` (which must start at 0)
-    and solves, at every step, a scalar Newton iteration for the lateral
-    strain such that the transverse stresses vanish.  Returns the axial
-    stress history, the lateral strain history, and the final state.
+    and solves, at every step, for the lateral strain such that the
+    transverse stresses vanish: a secant iteration seeded with the elastic
+    slope d(sigma22)/d(eps_lat).  Each evaluation of the transverse stress is
+    one call of :func:`integrate_viscoplastic_step`, and the state and stress
+    of the step are those of the last (converged) evaluation.  Returns the
+    axial stress history, the lateral strain history, and the final state.
 
     ``dt`` is a scalar step duration or an array of length ``len(axial_strain) - 1``.
     """
@@ -354,6 +367,8 @@ def uniaxial_plastic_driver(
     sigma_ax = np.zeros(n)
     eps_lat = np.zeros(n)
     state = MaterialState.zero()
+    slope_elastic = 2.0 * ep.bulk + 2.0 * ep.shear / 3.0
+    trial = None
 
     for i in range(1, n):
         # Linear extrapolation of the previous lateral strains as the guess.
@@ -363,12 +378,13 @@ def uniaxial_plastic_driver(
             guess = -ep.nu * eps[i]
 
         def transverse_stress(el):
+            # Keeps (state, sigma) of the evaluation: the last one is the step.
+            nonlocal trial
             e = np.diag([eps[i], el, el])
-            _, sig = integrate_viscoplastic_step(state, e, dts[i - 1], ep, pp)
-            return sig[1, 1]
+            trial = integrate_viscoplastic_step(state, e, dts[i - 1], ep, pp)
+            return trial[1][1, 1]
 
         # Secant iteration, seeded with the elastic slope d(sigma22)/d(eps_lat).
-        slope_elastic = 2.0 * ep.bulk + 2.0 * ep.shear / 3.0
         el0 = guess
         g0 = transverse_stress(el0)
         converged = abs(g0) <= tol
@@ -389,8 +405,7 @@ def uniaxial_plastic_driver(
                 f"(axial strain {eps[i]:.4g}, residual {g:.3e})"
             )
 
-        e = np.diag([eps[i], el, el])
-        state, sig = integrate_viscoplastic_step(state, e, dts[i - 1], ep, pp)
+        state, sig = trial
         sigma_ax[i] = sig[0, 0]
         eps_lat[i] = el
 

@@ -398,11 +398,17 @@ class HierarchicalResult:
 
 
 def _run_inner_chain(args):
+    """One inner chain: ``((mean, std, posterior), None)``, or ``(None, text)``
+    with the exception text when it fails, so that a worker process returns
+    failures (as picklable text) instead of raising them."""
     make_log_post, kappa_e, lower, upper, n_walkers, n_steps, a, seed = args
-    log_post = make_log_post(kappa_e)
-    chain = ensemble_sample(log_post, lower, upper, n_walkers, n_steps, a=a, seed=seed)
-    post = chain.posterior()
-    return post.mean(axis=0), post.std(axis=0, ddof=1), post
+    try:
+        log_post = make_log_post(kappa_e)
+        chain = ensemble_sample(log_post, lower, upper, n_walkers, n_steps, a=a, seed=seed)
+        post = chain.posterior()
+    except Exception as exc:  # inner-chain failure: flag and skip
+        return None, str(exc)
+    return (post.mean(axis=0), post.std(axis=0, ddof=1), post), None
 
 
 def hierarchical_two_step_bayes(
@@ -438,21 +444,15 @@ def hierarchical_two_step_bayes(
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_run_inner_chain, tasks))
-        outcomes = [(t, r, None) for t, r in zip(tasks, raw)]
+            outcomes = list(pool.map(_run_inner_chain, tasks))
     else:
-        outcomes = []
-        for t in tasks:
-            try:
-                outcomes.append((t, _run_inner_chain(t), None))
-            except Exception as exc:  # inner-chain failure: flag and skip
-                outcomes.append((t, None, exc))
+        outcomes = [_run_inner_chain(t) for t in tasks]
     means, stds, pools = [], [], []
     n_failed = 0
-    for t, res, exc in outcomes:
+    for t, (res, err) in zip(tasks, outcomes):
         if res is None:
             n_failed += 1
-            warnings.warn(f"inner chain failed for draw {t[1]}: {exc}", stacklevel=2)
+            warnings.warn(f"inner chain failed for draw {t[1]}: {err}", stacklevel=2)
             continue
         mean, std, post = res
         means.append(mean)

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from calibrix import materials
 from calibrix.errors import DriverError, ParameterError
 from calibrix.materials import (
     ElasticParams,
@@ -255,6 +259,18 @@ class TestIntegrator:
         assert abs(np.trace(state.viscous_strain)) <= 1e-12
         assert abs(np.trace(state.backstress)) <= 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=arrays(np.float64, (3, 3), elements=st.floats(-1e150, 1e150)),
+        y=arrays(np.float64, (3, 3), elements=st.floats(-1e150, 1e150)),
+    )
+    def test_flat_inner_product_is_tensordot_bit_for_bit(self, x, y):
+        expected = float(np.tensordot(x, y))
+        assert materials._inner(x, y) == expected
+        assert materials._inner(x, x) == float(np.tensordot(x, x))
+        # Transposed (non-contiguous) operands take the same route.
+        assert materials._inner(x.T, y.T) == float(np.tensordot(x.T, y.T))
+
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):
             PlasticParams(k=-1.0)
@@ -315,6 +331,42 @@ class TestUniaxialDriver:
                 driving = sigma - new_state.backstress
                 assert float(np.tensordot(driving, dev)) >= 0.0
             state = new_state
+
+    @pytest.mark.parametrize("pp", [
+        PlasticParams(**HARDENING),
+        PlasticParams(**HARDENING, eta=1e-2, r=1.5),
+    ], ids=["rate-independent", "viscous"])
+    def test_one_integrator_call_per_secant_evaluation(self, monkeypatch, pp):
+        ep = steel_elastic()
+        eps = np.linspace(0.0, 0.03, 31)
+        integrate = materials.integrate_viscoplastic_step
+        seen = []
+
+        def counting(state, strain, dt, ep_, pp_):
+            seen.append((state.viscous_strain.tobytes(), state.backstress.tobytes(),
+                         state.arc_length, np.asarray(strain).tobytes()))
+            return integrate(state, strain, dt, ep_, pp_)
+
+        monkeypatch.setattr(materials, "integrate_viscoplastic_step", counting)
+        sigma, lat, state = uniaxial_plastic_driver(eps, 0.1, ep, pp)
+        monkeypatch.undo()
+
+        # Each step's calls share one state and differ in the lateral strain,
+        # so a repeated (state, strain) pair is a wasted integrator call.
+        assert len(seen) >= eps.size - 1
+        assert len(seen) - len(set(seen)) == 0, "repeated integrator calls"
+
+        # The step's state and stress are those of a fresh integrator call at
+        # the converged lateral strain, bit for bit.
+        fresh = MaterialState.zero()
+        for i in range(1, eps.size):
+            fresh, sig = integrate_viscoplastic_step(
+                fresh, np.diag([eps[i], lat[i], lat[i]]), 0.1, ep, pp)
+            assert sig[0, 0] == sigma[i]
+        assert fresh.arc_length > 0.0
+        assert np.array_equal(state.viscous_strain, fresh.viscous_strain)
+        assert np.array_equal(state.backstress, fresh.backstress)
+        assert state.arc_length == fresh.arc_length
 
     def test_history_must_start_at_zero(self):
         ep = steel_elastic()

@@ -299,6 +299,24 @@ class _GaussianConditional:
         return log_post
 
 
+class _FailingConditional(_GaussianConditional):
+    """Picklable conditional whose log posterior raises for one elastic draw."""
+
+    def __init__(self, bad_draw, *args):
+        super().__init__(*args)
+        self.bad_draw = np.asarray(bad_draw, dtype=float)
+
+    def __call__(self, kappa_e):
+        log_post = super().__call__(kappa_e)
+        if not np.array_equal(kappa_e, self.bad_draw):
+            return log_post
+
+        def failing(kappa_p):
+            raise NumericalError(f"no log posterior at kappa_p = {kappa_p[0]:.3f}")
+
+        return failing
+
+
 class TestHierarchicalBayes:
     lower = np.array([282.6 * 0.8, 41.04 * 0.7, 3499.8 * 0.7])
     upper = np.array([282.6 * 1.2, 41.04 * 1.3, 3499.8 * 1.3])
@@ -361,6 +379,29 @@ class TestHierarchicalBayes:
             for jobs in (1, 2)
         ]
         assert np.array_equal(runs[0].pooled, runs[1].pooled)
+
+    def test_jobs_do_not_change_failures(self):
+        # A failing inner chain is skipped and counted on both paths, with the
+        # same warning; the worker returns its failure instead of raising it.
+        lower = np.array([-3.0, -3.0])
+        upper = np.array([3.0, 3.0])
+        chain_e = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]])
+        target = _FailingConditional(chain_e[1], np.zeros(2), np.eye(2), 0.5)
+        runs, messages = [], []
+        for jobs in (1, 2):
+            with pytest.warns(UserWarning, match="inner chain failed") as record:
+                runs.append(hierarchical_two_step_bayes(
+                    chain_e, target, lower, upper, n_outer=5, n_walkers=6,
+                    n_steps=20, seed=3, jobs=jobs))
+            messages.append([str(w.message) for w in record
+                             if "inner chain failed" in str(w.message)])
+        seq, par = runs
+        assert 0 < seq.n_failed < 5
+        assert par.n_failed == seq.n_failed == len(messages[0])
+        assert messages[0] == messages[1]
+        assert np.array_equal(seq.means, par.means)
+        assert np.array_equal(seq.stds, par.stds)
+        assert np.array_equal(seq.pooled, par.pooled)
 
     def test_spread_grows_with_elastic_uncertainty(self):
         # Controlled inflation: the conditional center moves linearly with the
