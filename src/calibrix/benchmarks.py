@@ -108,11 +108,8 @@ def plate_observations(case: PlateCase, sigma: float, seed: int,
 
 def plate_displacements(case: PlateCase, E: float, nu: float) -> np.ndarray:
     """Forward solve on the identification mesh; full nodal displacement vector."""
-    import scipy.sparse.linalg as spla
-
     kappa_c = np.array(c_coords_from_E_nu(E, nu))
-    stiff = case.decomp.stiffness(kappa_c)
-    u = spla.splu(stiff.K.tocsc()).solve(case.pbar - stiff.Kbar @ case.ubar)
+    u, _ = case.decomp.solve(kappa_c, case.pbar, case.ubar)
     return case.part.merge(u, case.ubar)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .config import Config, file_hash
-from .errors import CalibrixError, ConfigError
+from .errors import CalibrixError, ConfigError, DivergenceError
 from .mesh_fem import DofPartition, read_mesh_file
 from .synthetic_data import generate_plate_data, read_observation_csv, write_observation_csv
 
@@ -426,6 +426,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except CalibrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import DivergenceError, JacobianError
 
@@ -357,16 +356,15 @@ def reduced2_multiplier_residual(decomp, data, kappa_c, pbar, ubar) -> float:
 
     For the linear-elastic problem with displacements observed on all free
     dofs: solves the state, then the multiplier system
-    K^T Lambda_u = -W^T W (u - d_u), and returns the scaled norm of
-    A_S^T Lambda_u, which must vanish at the least-squares solution.
+    K^T Lambda_u = -W^T W (u - d_u) with the same LU factors, and returns
+    the scaled norm of A_S^T Lambda_u, which must vanish at the
+    least-squares solution.
     ``kappa_c`` is in (C11, C12) coordinates.
     """
     d_u, W_u = data
-    stiff = decomp.stiffness(kappa_c)
-    lu = spla.splu(stiff.K.tocsc())
-    u = lu.solve(np.asarray(pbar, float) - stiff.Kbar @ np.asarray(ubar, float))
+    u, lu = decomp.solve(kappa_c, pbar, ubar)
     rhs = -(W_u**2) * (u - d_u)
-    lam_u = spla.splu(stiff.K.T.tocsc()).solve(rhs)
+    lam_u = lu.solve(rhs[decomp.column_order], trans="T")
     a_s, _ = decomp.a_matrices(u, ubar)
     resid = a_s.T @ lam_u
     scale = 1.0 + np.linalg.norm(a_s.T @ ((W_u**2) * d_u))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -319,7 +320,7 @@ def assemble_stiffness(mesh: Mesh, part: DofPartition, C: np.ndarray) -> Partiti
     )
 
 
-def _condition_estimate(K: sp.csr_matrix, lu=None) -> float:
+def _condition_estimate(K: sp.spmatrix, lu=None) -> float:
     try:
         norm = spla.onenormest(K)
         if lu is None:
@@ -328,6 +329,35 @@ def _condition_estimate(K: sp.csr_matrix, lu=None) -> float:
         return float(norm * spla.onenormest(op))
     except Exception:
         return float("nan")
+
+
+def _factor(K: sp.csc_matrix, permc_spec: str = "COLAMD"):
+    """SuperLU factors of K; SolverError with a condition estimate if singular."""
+    try:
+        return spla.splu(K, permc_spec=permc_spec)
+    except RuntimeError as exc:
+        raise SolverError(
+            f"stiffness factorization failed ({exc}); "
+            f"condition estimate {_condition_estimate(K):.3e}"
+        ) from None
+
+
+def _factor_solve(K: sp.csc_matrix, rhs: np.ndarray, permc_spec: str = "COLAMD"):
+    """Factor K and solve K x = rhs; returns (x, lu).
+
+    Raises SolverError with a condition estimate when the factorization fails
+    or the relative residual of x exceeds 1e-8.
+    """
+    lu = _factor(K, permc_spec)
+    x = lu.solve(rhs)
+    scale = np.linalg.norm(rhs)
+    resid = np.linalg.norm(K @ x - rhs)
+    if not np.all(np.isfinite(x)) or (scale > 0 and resid > 1e-8 * scale):
+        raise SolverError(
+            f"linear solve inaccurate (relative residual {resid / max(scale, 1e-300):.3e}); "
+            f"condition estimate {_condition_estimate(K, lu):.3e}"
+        )
+    return x, lu
 
 
 def solve_linear(
@@ -340,21 +370,7 @@ def solve_linear(
     fails or the solution does not satisfy the system.
     """
     rhs = np.asarray(pbar, dtype=float) - stiff.Kbar @ np.asarray(ubar, dtype=float)
-    try:
-        lu = spla.splu(stiff.K.tocsc())
-        u = lu.solve(rhs)
-    except RuntimeError as exc:
-        raise SolverError(
-            f"stiffness factorization failed ({exc}); "
-            f"condition estimate {_condition_estimate(stiff.K):.3e}"
-        ) from None
-    scale = np.linalg.norm(rhs)
-    resid = np.linalg.norm(stiff.K @ u - rhs)
-    if not np.all(np.isfinite(u)) or (scale > 0 and resid > 1e-8 * scale):
-        raise SolverError(
-            f"linear solve inaccurate (relative residual {resid / max(scale, 1e-300):.3e}); "
-            f"condition estimate {_condition_estimate(stiff.K, lu):.3e}"
-        )
+    u, _ = _factor_solve(stiff.K.tocsc(), rhs)
     p = stiff.Kbar.T @ u + stiff.Kbarbar @ ubar
     return u, p
 
@@ -478,13 +494,57 @@ def assemble_aao_matrices(
     return K_fr, Kbar_fr, p_vec
 
 
+def _shared_pattern(x: sp.csr_matrix, y: sp.csr_matrix) -> None:
+    if not (x.has_canonical_format and np.array_equal(x.indptr, y.indptr)
+            and np.array_equal(x.indices, y.indices)):
+        raise SolverError("the coefficient blocks of the stiffness do not share one pattern")
+
+
+@dataclass(frozen=True, eq=False)
+class _SolvePattern:
+    """K(kappa)[:, order] in CSC form: its pattern and the two blocks' data."""
+
+    order: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: tuple
+
+    @classmethod
+    def from_blocks(cls, a: PartitionedStiffness, b: PartitionedStiffness) -> "_SolvePattern":
+        _shared_pattern(a.K, b.K)
+        _shared_pattern(a.Kbar, b.Kbar)
+        # COLAMD looks only at the pattern, so one factorization fixes the
+        # column order; SuperLU applies its perm_c as K[:, argsort(perm_c)].
+        order = np.argsort(_factor(a.K.tocsc()).perm_c)
+        # Entry positions 1..nnz of the CSR data, carried to the CSC layout of
+        # K[:, order] (each column keeps its rows ascending).
+        index = sp.csr_matrix(
+            (np.arange(1.0, a.K.nnz + 1.0), a.K.indices, a.K.indptr), shape=a.K.shape
+        ).tocsc()[:, order]
+        to_csc = index.data.astype(np.int64) - 1
+        return cls(
+            order=order,
+            indptr=index.indptr.astype(np.intc),
+            indices=index.indices.astype(np.intc),
+            data=(a.K.data[to_csc], b.K.data[to_csc]),
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class StiffnessDecomposition:
     """Cache of the stiffness blocks split by elasticity coefficient.
 
     K(kappa) = kappa_1 K_a + kappa_2 K_b (same for the other blocks), so
     repeated solves and the equilibrium-map columns cost only sparse
-    combinations.
+    combinations.  ``solve`` caches on first use what no kappa changes: the
+    CSC pattern that K_a and K_b share, with the COLAMD column order of one
+    SuperLU factorization folded in, and both blocks' data in that layout.
+    Each call forms the data of K(kappa)[:, order] and of Kbar(kappa) (on the
+    CSR pattern Kbar_a and Kbar_b share) and factors K in that column order,
+    permuting no rows.  The result equals
+    ``splu(stiffness(kappa).K.tocsc()).solve(pbar - stiffness(kappa).Kbar @ ubar)``
+    bit for bit unless an entry of K(kappa) or Kbar(kappa) cancels to exactly
+    0: scipy's sparse ``+`` drops such an entry, the cached pattern keeps it.
     """
 
     mesh: Mesh
@@ -503,6 +563,37 @@ class StiffnessDecomposition:
             Kbar=(kappa[0] * a.Kbar + kappa[1] * b.Kbar).tocsr(),
             Kbarbar=(kappa[0] * a.Kbarbar + kappa[1] * b.Kbarbar).tocsr(),
         )
+
+    @cached_property
+    def _pattern(self) -> _SolvePattern:
+        return _SolvePattern.from_blocks(*self.blocks)
+
+    @property
+    def column_order(self) -> np.ndarray:
+        """Column order of the factors ``solve`` returns: they are of K(kappa)[:, order]."""
+        return self._pattern.order
+
+    def solve(self, kappa, pbar, ubar):
+        """Free-dof displacements u of K(kappa) u = pbar - Kbar(kappa) ubar.
+
+        Returns (u, lu), where lu factors K(kappa)[:, column_order]; so
+        K(kappa)^T x = r is ``lu.solve(r[column_order], trans="T")``.  Raises
+        SolverError with a condition estimate like ``solve_linear``.
+        """
+        a, b = self.blocks
+        kbar = sp.csr_matrix(
+            (kappa[0] * a.Kbar.data + kappa[1] * b.Kbar.data, a.Kbar.indices, a.Kbar.indptr),
+            shape=a.Kbar.shape,
+        )
+        rhs = np.asarray(pbar, dtype=float) - kbar @ np.asarray(ubar, dtype=float)
+        c = self._pattern
+        K = sp.csc_matrix(
+            (kappa[0] * c.data[0] + kappa[1] * c.data[1], c.indices, c.indptr), shape=a.K.shape
+        )
+        y, lu = _factor_solve(K, rhs, permc_spec="NATURAL")
+        u = np.empty_like(y)
+        u[c.order] = y
+        return u, lu
 
     def a_matrices(self, u, ubar) -> tuple[np.ndarray, np.ndarray]:
         """A_S and Abar_S columns as stiffness-block matvecs."""

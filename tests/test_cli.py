@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from calibrix.cli import main
+from calibrix.errors import DivergenceError
 from calibrix.meshes import quarter_plate_mesh
 from calibrix.mesh_fem import write_mesh_file
 
@@ -130,6 +131,35 @@ class TestCalibrate:
             method="wobble",
         )
         assert main(["calibrate", "-c", cfg]) == 2
+
+    def test_malformed_data_row_exits_2(self, workdir, generated, capsys):
+        lines = (workdir / "data.csv").read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:5])  # a short row
+        (workdir / "short.csv").write_text("\n".join(lines) + "\n")
+        cfg = write_config(
+            workdir, "calshort.cfg",
+            mesh_file=str(workdir / "plate.mesh"),
+            data=str(workdir / "short.csv"),
+            report_out=str(workdir / "cal_short.txt"),
+        )
+        assert main(["calibrate", "-c", cfg, "--method", "vfm"]) == 2
+        assert "short.csv:4: expected 8 fields, got 5" in capsys.readouterr().err
+
+    def test_divergence_exits_3(self, workdir, generated, monkeypatch, capsys):
+        import calibrix.identify_reduced as identify_reduced
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError("Landweber iterate is not finite")
+
+        monkeypatch.setattr(identify_reduced, "landweber_reduced", diverge)
+        cfg = write_config(
+            workdir, "calw.cfg",
+            mesh_file=str(workdir / "plate.mesh"),
+            data=str(workdir / "data.csv"),
+            report_out=str(workdir / "cal_landweber.txt"),
+        )
+        assert main(["calibrate", "-c", cfg, "--method", "landweber-reduced"]) == 3
+        assert "Landweber iterate is not finite" in capsys.readouterr().err
 
 
 class TestUq:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from calibrix.benchmarks import plate_forward_model
@@ -199,3 +200,19 @@ class TestMultiplierForm:
             plate_small.pbar, plate_small.ubar,
         )
         assert off > 100 * resid
+
+    def test_one_factorization_matches_transposed_oracle(self, plate_small, plate_small_noisy):
+        # The multiplier solve reuses the LU of K; the oracle factors K^T anew.
+        case = plate_small
+        d_u, _ = full_field_vectors(case.coarse, case.part, plate_small_noisy)
+        W_u = np.random.default_rng(2).uniform(0.5, 2.0, d_u.size)
+        kappa_c = np.array(c_coords_from_E_nu(180000.0, 0.2))
+        stiff = case.decomp.stiffness(kappa_c)
+        u = spla.splu(stiff.K.tocsc()).solve(case.pbar - stiff.Kbar @ case.ubar)
+        lam_u = spla.splu(stiff.K.T.tocsc()).solve(-(W_u**2) * (u - d_u))
+        a_s, _ = case.decomp.a_matrices(u, case.ubar)
+        scale = 1.0 + np.linalg.norm(a_s.T @ ((W_u**2) * d_u))
+        oracle = np.linalg.norm(a_s.T @ lam_u) / scale
+        resid = reduced2_multiplier_residual(case.decomp, (d_u, W_u), kappa_c,
+                                             case.pbar, case.ubar)
+        assert abs(resid - oracle) <= 1e-12 * oracle

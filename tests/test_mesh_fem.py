@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from calibrix.errors import ConfigError, DataCoverageError, GeometryError, SolverError
@@ -261,6 +262,59 @@ class TestParameterMatrices:
         a_s2, abar_s2 = decomp.a_matrices(u, ubar)
         assert_allclose(a_s2, a_s, rtol=1e-9, atol=1e-12)
         assert_allclose(abar_s2, abar_s, rtol=1e-9, atol=1e-12)
+
+
+def _plate_bayes_kappas(n, seed):
+    """(C11, C12) draws from the plate-bayes prior box, (E, nu) within 10 %."""
+    rng = np.random.default_rng(seed)
+    E = rng.uniform(0.9 * 210000.0, 1.1 * 210000.0, n)
+    nu = rng.uniform(0.9 * 0.3, 1.1 * 0.3, n)
+    return [np.array(c_coords_from_E_nu(e, v)) for e, v in zip(E, nu)]
+
+
+class TestDecompositionSolve:
+    @pytest.mark.parametrize("n_c, n_r, draws", [(12, 10, 200), (30, 25, 20)])
+    def test_bit_identical_to_fresh_factorization(self, n_c, n_r, draws):
+        mesh = quarter_plate_mesh(n_c, n_r)
+        part = DofPartition.from_mesh(mesh)
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        pbar = applied_forces(mesh, part)
+        ubar_plate = prescribed_values(mesh, part)
+        ubar_random = np.random.default_rng(3).uniform(-1e-3, 1e-3, part.n_prescribed)
+        for i, kappa in enumerate(_plate_bayes_kappas(draws, seed=n_c)):
+            # Every other draw prescribes non-zero displacements, so the
+            # Kbar ubar term is exercised too (the plate's own ubar is 0).
+            ubar = ubar_random if i % 2 else ubar_plate
+            stiff = decomp.stiffness(kappa)
+            oracle = spla.splu(stiff.K.tocsc()).solve(pbar - stiff.Kbar @ ubar)
+            u, _ = decomp.solve(kappa, pbar, ubar)
+            assert np.array_equal(u.view(np.int64), oracle.view(np.int64)), (i, kappa)
+
+    def test_transposed_solve_reuses_factors(self, plate):
+        mesh, part = plate
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        pbar = applied_forces(mesh, part)
+        ubar = prescribed_values(mesh, part)
+        r = np.random.default_rng(5).standard_normal(part.n_free)
+        for kappa in _plate_bayes_kappas(5, seed=11):
+            _, lu = decomp.solve(kappa, pbar, ubar)
+            lam = lu.solve(r[decomp.column_order], trans="T")
+            oracle = spla.splu(decomp.stiffness(kappa).K.T.tocsc()).solve(r)
+            assert np.linalg.norm(lam - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_zero_coefficients_raise_solver_error(self, plate):
+        mesh, part = plate
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        with pytest.raises(SolverError, match="condition estimate"):
+            decomp.solve(np.zeros(2), applied_forces(mesh, part),
+                         prescribed_values(mesh, part))
+
+    def test_singular_mesh_raises_solver_error(self):
+        mesh = rectangle_mesh(2, 2, 1.0, 1.0)  # no supports at all
+        part = DofPartition.from_mesh(mesh)
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        with pytest.raises(SolverError, match="condition estimate"):
+            decomp.solve(KAPPA_STEEL, np.ones(part.n_free), np.zeros(0))
 
 
 class TestVfmSystem:

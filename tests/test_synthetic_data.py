@@ -1,7 +1,11 @@
 """Tests for synthetic observation generation and interpolation."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from calibrix.errors import DataCoverageError, InterpolationError, WeightingError
@@ -164,3 +168,62 @@ class TestCsv:
     def test_observation_set_validation(self):
         with pytest.raises(WeightingError):
             ObservationSet(d=np.ones(2), W=np.array([1.0, 0.0]), blocks=())
+
+
+@pytest.fixture(scope="module")
+def csv_lines(tmp_path_factory):
+    coarse = quarter_plate_mesh(4, 3)
+    data = generate_plate_data(coarse, coarse, KAPPA_TRUE, 1500.0, 2e-4, seed=4)
+    path = tmp_path_factory.mktemp("csv") / "valid.csv"
+    write_observation_csv(path, data)
+    return path, path.read_text().splitlines()
+
+
+# Letters that cannot spell nan, inf or infinity, so no drawn word parses.
+_NOT_A_NUMBER = st.text(alphabet="bcdeghjkmopqrsuvwxz_?", min_size=1, max_size=6)
+_NUMERIC_FIELDS = (0, 1, 2, 3, 4, 6, 7)
+
+
+@st.composite
+def _broken_row(draw, n_rows):
+    row = draw(st.integers(0, n_rows - 1))
+    kind = draw(st.sampled_from(("short", "extra", "text", "weight")))
+    if kind == "short":
+        edit = draw(st.integers(1, 7))  # fields dropped from the end
+    elif kind == "extra":
+        edit = draw(st.lists(st.sampled_from(("", "1", "0.5", "u1")), min_size=1, max_size=3))
+    elif kind == "text":
+        edit = (draw(st.sampled_from(_NUMERIC_FIELDS)), draw(_NOT_A_NUMBER))
+    else:
+        edit = draw(st.sampled_from(("0.0", "-1.0", "-0.0", "nan")))
+    return row, kind, edit
+
+
+class TestCsvFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_broken_row_names_path_and_line(self, csv_lines, data):
+        path, lines = csv_lines
+        header, rows = lines[0], lines[1:]
+        row, kind, edit = data.draw(_broken_row(len(rows)))
+        fields = rows[row].split(",")
+        if kind == "short":
+            fields = fields[:-edit]
+        elif kind == "extra":
+            fields = fields + edit
+        elif kind == "text":
+            fields[edit[0]] = edit[1]
+        else:
+            fields[7] = edit
+        broken = path.with_name("broken.csv")
+        broken.write_text("\n".join([header] + rows[:row] + [",".join(fields)]
+                                     + rows[row + 1:]) + "\n")
+        with pytest.raises(DataCoverageError, match=re.escape(f"{broken}:{row + 2}:")):
+            read_observation_csv(broken)
+
+    def test_blank_lines_keep_line_numbers(self, csv_lines):
+        path, lines = csv_lines
+        broken = path.with_name("blank.csv")
+        broken.write_text("\n".join([lines[0], lines[1], "", lines[2][:-4] + ",x"]) + "\n")
+        with pytest.raises(DataCoverageError, match=re.escape(f"{broken}:4:")):
+            read_observation_csv(broken)
