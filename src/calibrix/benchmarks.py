@@ -5,11 +5,15 @@ displacement data at a measured tensile resultant.  Two-step uniaxial
 plasticity: elastic moduli from the small-strain response, then the yield and
 kinematic-hardening parameters from the elasto-plastic stress curve, with the
 elastic uncertainty carried into the second step.
+
+The plate functions import the sparse finite-element stack where they need
+it, so the two-step case loads numpy only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,16 +30,11 @@ from .materials import (
     convert_K_G_to_E_nu,
     uniaxial_plastic_driver,
 )
-from .mesh_fem import (
-    DofPartition,
-    Mesh,
-    StiffnessDecomposition,
-    applied_forces,
-    prescribed_values,
-)
-from .meshes import quarter_plate_mesh
-from .synthetic_data import ObservationSet, generate_plate_data
 from .uq import monte_carlo_convert, two_step_covariance
+
+if TYPE_CHECKING:
+    from .mesh_fem import DofPartition, Mesh, StiffnessDecomposition
+    from .synthetic_data import ObservationSet
 
 E_TRUE = 210000.0
 NU_TRUE = 0.3
@@ -80,6 +79,9 @@ def make_plate_case(
     and uses a different radial grading, so interior measurement nodes are
     genuinely interpolated (boundary nodes coincide by construction).
     """
+    from .mesh_fem import DofPartition, StiffnessDecomposition, applied_forces, prescribed_values
+    from .meshes import quarter_plate_mesh
+
     coarse = quarter_plate_mesh(n_c, n_r, radius, width, height, thickness, load, grading)
     fine = quarter_plate_mesh(
         fine_factor * n_c, fine_factor * n_r + 3, radius, width, height,
@@ -102,6 +104,8 @@ def plate_observations(case: PlateCase, sigma: float, seed: int,
                        E: float = E_TRUE, nu: float = NU_TRUE,
                        matched: bool = False) -> ObservationSet:
     """Synthetic observations; ``matched`` solves on the identification mesh."""
+    from .synthetic_data import generate_plate_data
+
     source = case.coarse if matched else case.fine
     return generate_plate_data(source, case.coarse, (E, nu), case.load, sigma, seed)
 

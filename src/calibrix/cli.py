@@ -1,7 +1,13 @@
 """Command-line interface: data generation, calibration, UQ, and reports.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical non-convergence
-(the best iterate is still written).
+(the best iterate is still written).  Data that leave the parameters
+unidentifiable (IdentifiabilityError) also exit 2: the problem as configured
+is ill-posed, which no solver setting can mend.
+
+Only the plate commands import the sparse finite-element stack, so
+``uq --method two-step``, ``uq --method hierarchical``, ``report`` and
+``--version`` load numpy only.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ import numpy as np
 from . import __version__
 from .config import Config, file_hash
 from .errors import CalibrixError, ConfigError, DivergenceError
-from .mesh_fem import DofPartition, read_mesh_file
-from .synthetic_data import generate_plate_data, read_observation_csv, write_observation_csv
 
 CALIBRATE_METHODS = ("reduced", "vfm", "aao-fem", "aao-vfm",
                      "landweber-reduced", "landweber-aao")
@@ -42,6 +46,8 @@ def _header(cfg: Config, kind: str) -> list:
 
 
 def _load_mesh(cfg: Config, key: str = "mesh_file"):
+    from .mesh_fem import read_mesh_file
+
     path = cfg.get_str(key)
     if not os.path.exists(path):
         raise ConfigError(f"{key} does not exist: {path}")
@@ -49,6 +55,8 @@ def _load_mesh(cfg: Config, key: str = "mesh_file"):
 
 
 def cmd_generate(cfg: Config) -> int:
+    from .synthetic_data import generate_plate_data, write_observation_csv
+
     mesh = _load_mesh(cfg)
     if cfg.has("fine_mesh_file"):
         fine = _load_mesh(cfg, "fine_mesh_file")
@@ -86,6 +94,9 @@ def cmd_generate(cfg: Config) -> int:
 
 
 def _calibration_inputs(cfg: Config):
+    from .mesh_fem import DofPartition
+    from .synthetic_data import read_observation_csv
+
     mesh = _load_mesh(cfg)
     part = DofPartition.from_mesh(mesh)
     data_path = cfg.get_str("data")
@@ -334,16 +345,19 @@ def cmd_uq(cfg: Config, method: str, jobs: int = 1) -> int:
     from .benchmarks import (
         PlasticLogPosterior,
         TWOSTEP_TRUTH,
+        convert_elastic,
+        fit_elastic_modulus,
+        fit_poisson_ratio,
         generate_twostep_data,
-        two_step_identify,
     )
     from .uq import hierarchical_two_step_bayes
 
     data = generate_twostep_data(seed=cfg.get_seed())
-    out = two_step_identify(data)
+    # Only the elastic step of the two-step pipeline feeds the outer draws.
+    kappa_e, sigma_kg, _ = convert_elastic(fit_elastic_modulus(data), fit_poisson_ratio(data))
     rng = np.random.default_rng(cfg.get_int("elastic_seed", 1))
     n_elastic = cfg.get_int("elastic_samples", 500)
-    chain_e = rng.multivariate_normal(out["kappa_e"], out["sigma_kg"], size=n_elastic)
+    chain_e = rng.multivariate_normal(kappa_e, sigma_kg, size=n_elastic)
     center = np.array([TWOSTEP_TRUTH["k"], TWOSTEP_TRUTH["b"], TWOSTEP_TRUTH["c"]])
     var_k = cfg.get_float("prior_variation_k", 0.20)
     var_bc = cfg.get_float("prior_variation_bc", 0.30)

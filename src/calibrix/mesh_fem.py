@@ -321,12 +321,13 @@ def assemble_stiffness(mesh: Mesh, part: DofPartition, C: np.ndarray) -> Partiti
 
 
 def _condition_estimate(K: sp.spmatrix, lu=None) -> float:
+    """1-norm condition estimate of K from its factors lu; inf if K did not factor."""
+    if lu is None:
+        return float("inf")
     try:
-        norm = spla.onenormest(K)
-        if lu is None:
-            lu = spla.splu(K.tocsc())
-        op = spla.LinearOperator(K.shape, matvec=lu.solve)
-        return float(norm * spla.onenormest(op))
+        op = spla.LinearOperator(K.shape, matvec=lu.solve,
+                                 rmatvec=lambda x: lu.solve(x, trans="T"))
+        return float(spla.onenormest(K) * spla.onenormest(op))
     except Exception:
         return float("nan")
 
@@ -337,7 +338,7 @@ def _factor(K: sp.csc_matrix, permc_spec: str = "COLAMD"):
         return spla.splu(K, permc_spec=permc_spec)
     except RuntimeError as exc:
         raise SolverError(
-            f"stiffness factorization failed ({exc}); "
+            f"sparse factorization failed ({exc}); "
             f"condition estimate {_condition_estimate(K):.3e}"
         ) from None
 

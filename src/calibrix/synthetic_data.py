@@ -111,38 +111,54 @@ def assemble_data_vector(blocks) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _ElementLocator:
-    """Uniform-grid bucket index over element bounding boxes."""
+    """Uniform-grid bucket index over element bounding boxes.
+
+    Bucket c = i * n + j lists, in ascending order, the elements whose box
+    overlaps grid cell (i, j).  An element ``locate`` may return maps some
+    |xi|, |eta| <= 1 + 1e-6 to within tol * (1 + |p|) of the point p, so p
+    lies within about 1e-6 of the box's larger side plus that tolerance of
+    the box.  ``locate`` tries only the candidates whose box, grown by 1e-3
+    of its larger side plus the tolerance, holds p: the filter drops no
+    element that could be returned and so never changes the result.
+    """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         coords = mesh.nodes[mesh.elements]  # (n_el, 4, 2)
         self.lo = coords.min(axis=(0, 1))
         self.hi = coords.max(axis=(0, 1))
-        n = max(1, int(math.sqrt(mesh.n_elements / 2.0)))
-        self.shape = (n, n)
-        self.cell = (self.hi - self.lo) / np.array(self.shape)
+        self.n = n = max(1, int(math.sqrt(mesh.n_elements / 2.0)))
+        self.cell = (self.hi - self.lo) / np.array((n, n))
         self.cell[self.cell == 0.0] = 1.0
-        self.buckets = {}
         el_lo = coords.min(axis=1)
         el_hi = coords.max(axis=1)
-        for e in range(mesh.n_elements):
-            i0, j0 = self._cell_of(el_lo[e])
-            i1, j1 = self._cell_of(el_hi[e])
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    self.buckets.setdefault((i, j), []).append(e)
+        first = self._cell_of(el_lo)
+        span = self._cell_of(el_hi) - first + 1
+        counts = span[:, 0] * span[:, 1]
+        owner = np.repeat(np.arange(mesh.n_elements), counts)
+        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        width = span[owner, 1]
+        cells = (first[owner, 0] + k // width) * n + first[owner, 1] + k % width
+        self.candidates = owner[np.argsort(cells, kind="stable")]
+        self.start = np.concatenate([[0], np.cumsum(np.bincount(cells, minlength=n * n))])
+        grow = 1e-3 * (el_hi - el_lo).max(axis=1, keepdims=True)
+        self.box_lo = el_lo - grow
+        self.box_hi = el_hi + grow
 
     def _cell_of(self, p):
+        """Grid (i, j) of a point, or of each row of an array of points."""
         ij = np.floor((p - self.lo) / self.cell).astype(int)
-        return (
-            min(max(ij[0], 0), self.shape[0] - 1),
-            min(max(ij[1], 0), self.shape[1] - 1),
-        )
+        return np.clip(ij, 0, self.n - 1)
 
     def locate(self, p, tol=1e-10) -> tuple[int, float, float]:
-        candidates = self.buckets.get(self._cell_of(p), ())
+        i, j = self._cell_of(p)
+        c = i * self.n + j
+        candidates = self.candidates[self.start[c]:self.start[c + 1]]
+        slack = tol * (1.0 + np.linalg.norm(p))
+        near = np.all((self.box_lo[candidates] - slack <= p)
+                      & (p <= self.box_hi[candidates] + slack), axis=1)
         best = None
-        for e in candidates:
+        for e in candidates[near]:
             coords = self.mesh.nodes[self.mesh.elements[e]]
             ref = _inverse_map(coords, p, tol)
             if ref is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -443,6 +442,8 @@ def hierarchical_two_step_bayes(
         for i in range(n_outer)
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_inner_chain, tasks))
     else:

@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line pipeline."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import calibrix
 from calibrix.cli import main
 from calibrix.errors import DivergenceError
 from calibrix.meshes import quarter_plate_mesh
@@ -145,6 +148,25 @@ class TestCalibrate:
         assert main(["calibrate", "-c", cfg, "--method", "vfm"]) == 2
         assert "short.csv:4: expected 8 fields, got 5" in capsys.readouterr().err
 
+    def test_unidentifiable_data_exits_2(self, workdir, generated, capsys):
+        # Zero displacements probe no deformation mode: an ill-posed input,
+        # reported like a config error rather than as non-convergence.
+        rows = (workdir / "data.csv").read_text().splitlines()
+        for i, row in enumerate(rows[1:], start=1):
+            fields = row.split(",")
+            if fields[5] in ("u1", "u2"):
+                fields[6] = "0.0"
+                rows[i] = ",".join(fields)
+        (workdir / "still.csv").write_text("\n".join(rows) + "\n")
+        cfg = write_config(
+            workdir, "calstill.cfg",
+            mesh_file=str(workdir / "plate.mesh"),
+            data=str(workdir / "still.csv"),
+            report_out=str(workdir / "cal_still.txt"),
+        )
+        assert main(["calibrate", "-c", cfg, "--method", "vfm"]) == 2
+        assert "rank deficient" in capsys.readouterr().err
+
     def test_divergence_exits_3(self, workdir, generated, monkeypatch, capsys):
         import calibrix.identify_reduced as identify_reduced
 
@@ -256,3 +278,31 @@ class TestReportAndDeterminism:
         b_lines = files["b"][1].decode().splitlines()
         strip = lambda ls: [l for l in ls if not l.startswith("config_hash")]
         assert strip(a_lines) == strip(b_lines)
+
+
+def test_point_model_commands_load_no_sparse_stack(tmp_path):
+    """uq two-step, uq hierarchical and report import numpy, not scipy."""
+    write_config(tmp_path, "two.cfg", seed=0, report_out="two.txt")
+    write_config(tmp_path, "hier.cfg", seed=0, n_outer=1, walkers=6, steps=4,
+                 elastic_samples=20, means_out="means.csv", stds_out="stds.csv",
+                 report_out="hier.txt")
+    runs = [["uq", "-c", "two.cfg", "--method", "two-step"],
+            ["uq", "-c", "hier.cfg", "--method", "hierarchical", "--jobs", "1"],
+            ["report", "two.txt"]]
+    script = (
+        "import sys\n"
+        "from calibrix.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'{argv} failed')\n"
+        "loaded = [m for m in sys.modules\n"
+        "          if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process']\n"
+        "print('loaded', sorted(loaded))\n"
+    )
+    src = os.path.dirname(os.path.dirname(calibrix.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "loaded []"

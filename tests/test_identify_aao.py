@@ -4,11 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from calibrix.benchmarks import make_plate_case, plate_forward_model, plate_observations
-from calibrix.errors import DivergenceError
+from calibrix.errors import DivergenceError, SolverError
 from calibrix.identify_aao import (
+    DEFAULT_KAPPA0,
     AaoOperators,
     aao_fem_solve,
     aao_foc_residuals,
@@ -18,6 +20,8 @@ from calibrix.identify_aao import (
 from calibrix.identify_reduced import solve_nls
 from calibrix.identify_vfm import equilibrium_gap, full_field_vectors, solve_vfm
 from calibrix.materials import c_coords_from_E_nu
+from calibrix.mesh_fem import DofPartition
+from calibrix.meshes import quarter_plate_mesh
 
 KAPPA_TRUE_C = np.array(c_coords_from_E_nu(210000.0, 0.3))
 
@@ -27,6 +31,36 @@ def _quiet_seminorm_warning():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="semi-norm")
         yield
+
+
+class TestKktSolve:
+    def test_bit_identical_to_fresh_factorization(self, monkeypatch):
+        mesh = quarter_plate_mesh(30, 25)  # the plate-reference mesh, 1 545 rows
+        ops = AaoOperators(mesh, DofPartition.from_mesh(mesh), 1500.0)
+        calls = []
+        splu = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(kwargs.get("permc_spec", "COLAMD"))
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        rng = np.random.default_rng(0)
+        for i in range(30):
+            kappa = DEFAULT_KAPPA0 * rng.uniform(0.8, 1.2, 2)
+            K = ops.k_fr(kappa)
+            r0 = ops.p_vec - K @ rng.uniform(-1e-3, 1e-3, ops.n_u)
+            n_calls = len(calls)
+            lam = ops.solve_kkt(K, r0)
+            assert len(calls) == n_calls + 1  # the cache adds no factorization
+            oracle = splu((K @ K.T).tocsc()).solve(r0)
+            assert np.array_equal(lam.view(np.int64), oracle.view(np.int64)), i
+        assert calls == ["COLAMD"] + ["NATURAL"] * 29
+
+    def test_failed_factorization_raises_solver_error(self, plate_small):
+        ops = AaoOperators(plate_small.coarse, plate_small.part, 1500.0)
+        with pytest.raises(SolverError, match="condition estimate inf"):
+            ops.solve_kkt(ops.k_fr(np.zeros(2)), ops.p_vec)
 
 
 class TestAaoFem:

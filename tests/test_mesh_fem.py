@@ -11,6 +11,7 @@ from calibrix.mesh_fem import (
     DofPartition,
     Mesh,
     StiffnessDecomposition,
+    _condition_estimate,
     applied_forces,
     assemble_aao_matrices,
     assemble_parameter_matrices,
@@ -303,11 +304,29 @@ class TestDecompositionSolve:
             assert np.linalg.norm(lam - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_zero_coefficients_raise_solver_error(self, plate):
+        # K = 0 does not factor, so there are no factors to estimate from.
         mesh, part = plate
         decomp = StiffnessDecomposition.from_mesh(mesh, part)
-        with pytest.raises(SolverError, match="condition estimate"):
+        with pytest.raises(SolverError, match="condition estimate inf$"):
             decomp.solve(np.zeros(2), applied_forces(mesh, part),
                          prescribed_values(mesh, part))
+
+    def test_inaccurate_solve_reports_finite_condition_estimate(self, plate):
+        # C11 = C12 makes C singular: K factors, but the solve fails its
+        # residual check, and the estimate comes from those factors.
+        mesh, part = plate
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        with pytest.raises(SolverError, match="inaccurate") as info:
+            decomp.solve(np.ones(2), applied_forces(mesh, part),
+                         prescribed_values(mesh, part))
+        estimate = float(str(info.value).rsplit(" ", 1)[1])
+        assert np.isfinite(estimate) and estimate > 1e12
+
+    def test_condition_estimate_from_factors(self, plate):
+        mesh, part = plate
+        K = StiffnessDecomposition.from_mesh(mesh, part).stiffness(KAPPA_STEEL).K.tocsc()
+        exact = np.linalg.cond(K.toarray(), 1)
+        assert 0.5 * exact <= _condition_estimate(K, spla.splu(K)) <= 1.0000001 * exact
 
     def test_singular_mesh_raises_solver_error(self):
         mesh = rectangle_mesh(2, 2, 1.0, 1.0)  # no supports at all

@@ -1,5 +1,6 @@
 """Tests for synthetic observation generation and interpolation."""
 
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,8 @@ from calibrix.errors import DataCoverageError, InterpolationError, WeightingErro
 from calibrix.meshes import quarter_plate_mesh, rectangle_mesh
 from calibrix.synthetic_data import (
     ObservationSet,
+    _ElementLocator,
+    _inverse_map,
     assemble_data_vector,
     generate_plate_data,
     interpolate_bilinear,
@@ -68,6 +71,107 @@ class TestInterpolation:
         fine, _ = meshes
         with pytest.raises(DataCoverageError):
             interpolate_bilinear(fine, np.zeros(3), [[5.0, 5.0]])
+
+
+class OracleLocator:
+    """The element locator before its bucket index was vectorized: one
+    bucket list per grid cell, every candidate inverse-mapped."""
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        coords = mesh.nodes[mesh.elements]
+        self.lo = coords.min(axis=(0, 1))
+        self.hi = coords.max(axis=(0, 1))
+        n = max(1, int(math.sqrt(mesh.n_elements / 2.0)))
+        self.shape = (n, n)
+        self.cell = (self.hi - self.lo) / np.array(self.shape)
+        self.cell[self.cell == 0.0] = 1.0
+        self.buckets = {}
+        el_lo = coords.min(axis=1)
+        el_hi = coords.max(axis=1)
+        for e in range(mesh.n_elements):
+            i0, j0 = self._cell_of(el_lo[e])
+            i1, j1 = self._cell_of(el_hi[e])
+            for i in range(i0, i1 + 1):
+                for j in range(j0, j1 + 1):
+                    self.buckets.setdefault((i, j), []).append(e)
+
+    def _cell_of(self, p):
+        ij = np.floor((p - self.lo) / self.cell).astype(int)
+        return (
+            min(max(ij[0], 0), self.shape[0] - 1),
+            min(max(ij[1], 0), self.shape[1] - 1),
+        )
+
+    def locate(self, p, tol=1e-10):
+        best = None
+        for e in self.buckets.get(self._cell_of(p), ()):
+            ref = _inverse_map(self.mesh.nodes[self.mesh.elements[e]], p, tol)
+            if ref is None:
+                continue
+            margin = max(abs(ref[0]), abs(ref[1]))
+            if margin <= 1.0 + 1e-8:
+                return e, ref[0], ref[1]
+            if best is None or margin < best[0]:
+                best = (margin, e, ref)
+        if best is not None and best[0] <= 1.0 + 1e-6:
+            return best[1], best[2][0], best[2][1]
+        raise InterpolationError(f"point ({p[0]}, {p[1]}) is outside the mesh")
+
+
+def _located(locator, p):
+    """(element, xi bits, eta bits), or the error message."""
+    try:
+        e, xi, eta = locator.locate(p)
+    except InterpolationError as exc:
+        return str(exc)
+    return int(e), np.float64(xi).view(np.int64), np.float64(eta).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def data_mesh_locators():
+    """The plate-reference data mesh, indexed by both locators."""
+    fine = quarter_plate_mesh(120, 103, grading=1.3)
+    return fine, _ElementLocator(fine), OracleLocator(fine)
+
+
+@st.composite
+def _mesh_points(draw, mesh):
+    """A node; a point on an element edge, or off it by up to 1e-6 of its
+    length (the mesh boundary's tolerance band); or a point on or just inside
+    the hole's arc, which the faceted mesh leaves out."""
+    kind = draw(st.sampled_from(("node", "edge", "hole")))
+    if kind == "node":
+        return mesh.nodes[draw(st.integers(0, mesh.n_nodes - 1))]
+    if kind == "edge":
+        e = draw(st.integers(0, mesh.n_elements - 1))
+        k = draw(st.integers(0, 3))
+        t = draw(st.floats(0.0, 1.0))
+        off = draw(st.sampled_from((0.0, 1.0))) * draw(st.floats(-2e-6, 2e-6))
+        a, b = mesh.nodes[mesh.elements[e, [k, (k + 1) % 4]]]
+        return (1.0 - t) * a + t * b + off * np.array([b[1] - a[1], a[0] - b[0]])
+    theta = draw(st.floats(0.0, 0.5 * math.pi))
+    r = 3.0 * (1.0 - draw(st.sampled_from((0.0, 1.0))) * draw(st.floats(0.0, 1e-4)))
+    return np.array([r * math.cos(theta), r * math.sin(theta)])
+
+
+class TestElementLocator:
+    def test_bit_identical_to_oracle_on_measurement_nodes(self, data_mesh_locators):
+        fine, locator, oracle = data_mesh_locators
+        coarse = quarter_plate_mesh(30, 25)
+        assert np.array_equal(locator.candidates,
+                              np.concatenate([oracle.buckets.get(divmod(c, locator.n), [])
+                                              for c in range(locator.n ** 2)]))
+        for p in coarse.nodes:
+            assert _located(locator, p) == _located(oracle, p), p
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical_to_oracle_on_nodes_edges_and_hole(self, data_mesh_locators,
+                                                              data):
+        fine, locator, oracle = data_mesh_locators
+        p = data.draw(_mesh_points(fine))
+        assert _located(locator, p) == _located(oracle, p), p
 
 
 class TestDataVector:
