@@ -282,11 +282,15 @@ def fit_plastic(data: TwoStepData, kappa_e, kappa0=(290.0, 35.0, 3000.0)) -> Cal
     return solve_nls(model, (data.stress_plastic, W), np.array(kappa0, dtype=float))
 
 
-def plastic_cross_sensitivities(data: TwoStepData, kappa_e, kappa_p):
+def plastic_cross_sensitivities(data: TwoStepData, kappa_e, result_p: CalibrationResult):
     """J_pe = d r_p / d kappa_e and the kappa_e derivative of J_p, both by
-    forward differences around the fitted point."""
+    forward differences around the fitted point ``result_p.kappa``.
+
+    J_p at kappa_e is the fit's own ``result_p.jacobian``: the same model,
+    steps and base curve give the same bits, so it is not computed again.
+    """
     kappa_e = np.asarray(kappa_e, dtype=float)
-    kappa_p = np.asarray(kappa_p, dtype=float)
+    kappa_p = result_p.kappa
     h = 1e-6 * np.abs(kappa_e)
 
     def response(ke):
@@ -297,7 +301,7 @@ def plastic_cross_sensitivities(data: TwoStepData, kappa_e, kappa_p):
         return jacobian_external_nd(model, kappa_p, base=base)
 
     s0 = response(kappa_e)
-    J0 = jac_p(kappa_e, s0)
+    J0 = result_p.jacobian
     J_pe = np.empty((s0.size, 2))
     dJp_dke = np.empty(J0.shape + (2,))
     for j in range(2):
@@ -316,7 +320,7 @@ def two_step_identify(data: TwoStepData, mc_seed: int = 0) -> dict:
     result_nu = fit_poisson_ratio(data)
     kappa_e, sigma_kg, mc = convert_elastic(result_E, result_nu, seed=mc_seed)
     result_p = fit_plastic(data, kappa_e)
-    J_pe, dJp_dke = plastic_cross_sensitivities(data, kappa_e, result_p.kappa)
+    J_pe, dJp_dke = plastic_cross_sensitivities(data, kappa_e, result_p)
     report_two_step = two_step_covariance(
         result_p, J_pe, sigma_kg, result_p.s2, dJp_dke=dJp_dke
     )

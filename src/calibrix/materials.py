@@ -204,31 +204,27 @@ def _solve_plastic_multiplier(naa, nab, nbb, G, pp: PlasticParams, dt):
     sq23k = _SQ23 * k
 
     def norms(dlam):
+        # |xi| at dlam and its derivative, from one evaluation of theta.
         theta = 1.0 / (1.0 + pp.b * _SQ23 * dlam)
         nhat = math.sqrt(max(naa - 2.0 * theta * nab + theta * theta * nbb, 0.0))
         nxi = nhat - (2.0 * G + pp.c * theta) * dlam
-        return theta, nhat, nxi
-
-    def resid_ri(dlam):
-        _, _, nxi = norms(dlam)
-        return nxi - sq23k
-
-    def dresid_ri(dlam):
-        theta, nhat, _ = norms(dlam)
         dtheta = -pp.b * _SQ23 * theta * theta
         dnhat = ((theta * nbb - nab) * dtheta / nhat) if nhat > 0.0 else 0.0
-        return dnhat - (2.0 * G + pp.c * theta) - pp.c * dtheta * dlam
+        return nxi, dnhat - (2.0 * G + pp.c * theta) - pp.c * dtheta * dlam
 
-    def newton(residual, dresidual, lo, hi, r_lo, r_hi):
+    def ri(dlam):
+        nxi, dnxi = norms(dlam)
+        return nxi - sq23k, dnxi
+
+    def newton(fn, lo, hi, r_lo, r_hi):
         # Safeguarded Newton: bisect whenever the Newton step leaves [lo, hi].
         # The bracket-width exit accepts the root once the interval has shrunk
         # to machine precision (the residual is then roundoff-limited).
         x = 0.5 * (lo + hi)
         for _ in range(_NEWTON_MAX_ITER):
-            r = residual(x)
+            r, d = fn(x)
             if abs(r) <= _NEWTON_TOL:
                 return x
-            d = dresidual(x)
             if (r > 0.0) == (r_lo > 0.0):
                 lo, r_lo = x, r
             else:
@@ -241,47 +237,39 @@ def _solve_plastic_multiplier(naa, nab, nbb, G, pp: PlasticParams, dt):
             x = x_new
         raise IntegrationError(
             f"plastic corrector did not converge in {_NEWTON_MAX_ITER} iterations "
-            f"(residual {residual(x):.3e})"
+            f"(residual {fn(x)[0]:.3e})"
         )
 
     # Rate-independent root first: it closes the consistency condition for
     # eta = 0 and brackets the viscous root from above otherwise.
-    r0 = resid_ri(0.0)
+    r0 = ri(0.0)[0]
     if r0 <= _NEWTON_TOL:
         dlam_ri = 0.0
     else:
         hi = r0 / (2.0 * G)
-        r_hi = resid_ri(hi)
+        r_hi = ri(hi)[0]
         while r_hi > 0.0:
             hi *= 2.0
-            r_hi = resid_ri(hi)
-        dlam_ri = newton(resid_ri, dresid_ri, 0.0, hi, r0, r_hi)
+            r_hi = ri(hi)[0]
+        dlam_ri = newton(ri, 0.0, hi, r0, r_hi)
 
     if pp.rate_independent:
         return dlam_ri
 
     inv_eta = 1.0 / pp.eta
 
-    def resid_vp(dlam):
-        _, _, nxi = norms(dlam)
-        f = 0.5 * nxi * nxi - k * k / 3.0
-        over = max(f / SIGMA_0, 0.0)
-        return dlam / dt - inv_eta * over**pp.r
-
-    def dresid_vp(dlam):
-        theta, nhat, nxi = norms(dlam)
-        dtheta = -pp.b * _SQ23 * theta * theta
-        dnhat = ((theta * nbb - nab) * dtheta / nhat) if nhat > 0.0 else 0.0
-        dnxi = dnhat - (2.0 * G + pp.c * theta) - pp.c * dtheta * dlam
+    def vp(dlam):
+        nxi, dnxi = norms(dlam)
         f = 0.5 * nxi * nxi - k * k / 3.0
         over = max(f / SIGMA_0, 0.0)
         df = nxi * dnxi / SIGMA_0
-        return 1.0 / dt - inv_eta * pp.r * over ** (pp.r - 1.0) * df
+        return (dlam / dt - inv_eta * over**pp.r,
+                1.0 / dt - inv_eta * pp.r * over ** (pp.r - 1.0) * df)
 
-    r_lo = resid_vp(0.0)
+    r_lo = vp(0.0)[0]
     if r_lo >= -_NEWTON_TOL:
         return 0.0
-    return newton(resid_vp, dresid_vp, 0.0, dlam_ri, r_lo, resid_vp(dlam_ri))
+    return newton(vp, 0.0, dlam_ri, r_lo, vp(dlam_ri)[0])
 
 
 def integrate_viscoplastic_step(
@@ -335,6 +323,64 @@ def integrate_viscoplastic_step(
     return new_state, sigma
 
 
+def _diag(x_ax, x_lat) -> np.ndarray:
+    """The diagonal (x_ax, x_lat, x_lat) of a uniaxial tensor.
+
+    The BLAS dot of two such diagonals accumulates in the same order as
+    :func:`_inner` on the full tensors, whose off-diagonal zeros add nothing,
+    so the Frobenius product is bit-identical.  A plain float sum is not: the
+    BLAS kernel accumulates with fused multiply-adds.
+    """
+    return np.array((x_ax, x_lat, x_lat))
+
+
+def _uniaxial_step(state, e_ax, e_lat, dt, K, G, pp: PlasticParams):
+    """:func:`integrate_viscoplastic_step` for a uniaxial state, on scalars.
+
+    Every tensor of a uniaxial step is diag(x_ax, x_lat, x_lat), so the step
+    is carried by its axial and lateral diagonal entries.  ``state`` is the
+    tuple (viscous strain ax, lat, backstress ax, lat, arc length) and the
+    total strain is diag(e_ax, e_lat, e_lat).  The same floating-point
+    operations run in the same order as in the 3x3 routine, so the results
+    are bit-identical.  Returns (new state, axial stress, lateral stress).
+    """
+    if dt <= 0.0:
+        raise IntegrationError(f"step size must be positive, got dt={dt}")
+    ev_ax, ev_lat, x_ax, x_lat, arc = state
+    tr_e = (e_ax + e_lat) + e_lat
+    mean = tr_e / 3.0
+    dev_ax, dev_lat = e_ax - mean, e_lat - mean
+    g2 = 2.0 * G
+    a_ax, a_lat = g2 * (dev_ax - ev_ax), g2 * (dev_lat - ev_lat)
+    xi = _diag(a_ax - x_ax, a_lat - x_lat)
+    f_trial = 0.5 * float(xi.dot(xi)) - pp.k * pp.k / 3.0
+    p = K * tr_e
+
+    if f_trial < 0.0:
+        return state, p + a_ax, p + a_lat
+
+    a, x = _diag(a_ax, a_lat), _diag(x_ax, x_lat)
+    dlam = _solve_plastic_multiplier(float(a.dot(a)), float(a.dot(x)), float(x.dot(x)),
+                                     G, pp, dt)
+
+    if dlam == 0.0:
+        return state, p + a_ax, p + a_lat
+
+    theta = 1.0 / (1.0 + pp.b * _SQ23 * dlam)
+    h_ax, h_lat = a_ax - theta * x_ax, a_lat - theta * x_lat
+    h = _diag(h_ax, h_lat)
+    nhat = math.sqrt(float(h.dot(h)))
+    q_ax, q_lat = h_ax / nhat, h_lat / nhat
+    q_mean = ((q_ax + q_lat) + q_lat) / 3.0
+    n_ax, n_lat = q_ax - q_mean, q_lat - q_mean
+
+    ev_ax, ev_lat = ev_ax + dlam * n_ax, ev_lat + dlam * n_lat
+    cd = pp.c * dlam
+    x_ax, x_lat = theta * (x_ax + cd * n_ax), theta * (x_lat + cd * n_lat)
+    new_state = (ev_ax, ev_lat, x_ax, x_lat, arc + _SQ23 * dlam)
+    return new_state, p + g2 * (dev_ax - ev_ax), p + g2 * (dev_lat - ev_lat)
+
+
 def uniaxial_plastic_driver(
     axial_strain: np.ndarray,
     dt,
@@ -349,9 +395,11 @@ def uniaxial_plastic_driver(
     and solves, at every step, for the lateral strain such that the
     transverse stresses vanish: a secant iteration seeded with the elastic
     slope d(sigma22)/d(eps_lat).  Each evaluation of the transverse stress is
-    one call of :func:`integrate_viscoplastic_step`, and the state and stress
-    of the step are those of the last (converged) evaluation.  Returns the
-    axial stress history, the lateral strain history, and the final state.
+    one :func:`_uniaxial_step`, the scalar form of
+    :func:`integrate_viscoplastic_step` for diagonal states, with bit-identical
+    results; the state and stress of the step are those of the last
+    (converged) evaluation.  Returns the axial stress history, the lateral
+    strain history, and the final state.
 
     ``dt`` is a scalar step duration or an array of length ``len(axial_strain) - 1``.
     """
@@ -364,10 +412,12 @@ def uniaxial_plastic_driver(
     dts = np.broadcast_to(np.asarray(dt, dtype=float), (n - 1,)) if n > 1 else np.empty(0)
     tol = lateral_tol if lateral_tol is not None else 1e-9 * pp.k
 
-    sigma_ax = np.zeros(n)
-    eps_lat = np.zeros(n)
-    state = MaterialState.zero()
-    slope_elastic = 2.0 * ep.bulk + 2.0 * ep.shear / 3.0
+    K, G = ep.bulk, ep.shear
+    eps_ax = eps.tolist()
+    sigma_ax = [0.0] * n
+    eps_lat = [0.0] * n
+    state = (0.0, 0.0, 0.0, 0.0, 0.0)
+    slope_elastic = 2.0 * K + 2.0 * G / 3.0
     trial = None
 
     for i in range(1, n):
@@ -375,14 +425,15 @@ def uniaxial_plastic_driver(
         if i >= 2:
             guess = 2.0 * eps_lat[i - 1] - eps_lat[i - 2]
         else:
-            guess = -ep.nu * eps[i]
+            guess = -ep.nu * eps_ax[i]
+        e_ax, dt_i = eps_ax[i], dts[i - 1]
 
         def transverse_stress(el):
-            # Keeps (state, sigma) of the evaluation: the last one is the step.
+            # Keeps (state, sigma_ax, sigma_lat) of the evaluation: the last
+            # one is the step.
             nonlocal trial
-            e = np.diag([eps[i], el, el])
-            trial = integrate_viscoplastic_step(state, e, dts[i - 1], ep, pp)
-            return trial[1][1, 1]
+            trial = _uniaxial_step(state, e_ax, el, dt_i, K, G, pp)
+            return trial[2]
 
         # Secant iteration, seeded with the elastic slope d(sigma22)/d(eps_lat).
         el0 = guess
@@ -405,11 +456,13 @@ def uniaxial_plastic_driver(
                 f"(axial strain {eps[i]:.4g}, residual {g:.3e})"
             )
 
-        state, sig = trial
-        sigma_ax[i] = sig[0, 0]
+        state, sigma_ax[i], _ = trial
         eps_lat[i] = el
 
-    return sigma_ax, eps_lat, state
+    ev_ax, ev_lat, x_ax, x_lat, arc = state
+    final = MaterialState(viscous_strain=np.diag([ev_ax, ev_lat, ev_lat]),
+                          backstress=np.diag([x_ax, x_lat, x_lat]), arc_length=arc)
+    return np.array(sigma_ax), np.array(eps_lat), final
 
 
 def read_parameter_file(path) -> dict:

@@ -321,15 +321,25 @@ def assemble_stiffness(mesh: Mesh, part: DofPartition, C: np.ndarray) -> Partiti
 
 
 def _condition_estimate(K: sp.spmatrix, lu=None) -> float:
-    """1-norm condition estimate of K from its factors lu; inf if K did not factor."""
+    """1-norm condition estimate of K from its factors lu; inf if K did not factor.
+
+    ``onenormest`` draws its start vectors from numpy's global RNG and takes
+    no generator, so the estimate runs under a fixed seed and the caller's RNG
+    state is restored afterwards: the same K gives the same estimate, and the
+    global RNG does not advance.
+    """
     if lu is None:
         return float("inf")
+    rng_state = np.random.get_state()
     try:
+        np.random.seed(0)
         op = spla.LinearOperator(K.shape, matvec=lu.solve,
                                  rmatvec=lambda x: lu.solve(x, trans="T"))
         return float(spla.onenormest(K) * spla.onenormest(op))
     except Exception:
         return float("nan")
+    finally:
+        np.random.set_state(rng_state)
 
 
 def _factor(K: sp.csc_matrix, permc_spec: str = "COLAMD"):

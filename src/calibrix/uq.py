@@ -322,6 +322,8 @@ def ensemble_sample(
     the line to a partner from the complementary half, with stretch factor
     z ~ g(z) on [1/a, a]).  Proposals outside [lower, upper] are rejected, so
     every sample stays inside the support.  Deterministic for a fixed seed.
+    If some sweeps accepted no proposal, one warning at the end of the run
+    gives their number and the acceptance rate.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -356,19 +358,22 @@ def ensemble_sample(
             accepted_flags[active[accept], step] = True
             accepted_this_sweep += int(accept.sum())
         n_accept += accepted_this_sweep
-        if accepted_this_sweep == 0:
-            warnings.warn(
-                f"ensemble sweep {step} accepted no proposal; consider a smaller "
-                f"stretch parameter (a = {a})",
-                stacklevel=2,
-            )
         samples[:, step, :] = x
         log_posts[:, step] = lp
+    acceptance_rate = n_accept / (n_walkers * n_steps)
+    n_empty = int(np.count_nonzero(~accepted_flags.any(axis=0)))
+    if n_empty:
+        warnings.warn(
+            f"{n_empty} of {n_steps} ensemble sweeps accepted no proposal "
+            f"(acceptance rate {acceptance_rate:.3f}); consider a smaller "
+            f"stretch parameter (a = {a})",
+            stacklevel=2,
+        )
     return EnsembleChain(
         samples=samples,
         log_posts=log_posts,
         accepted=accepted_flags,
-        acceptance_rate=n_accept / (n_walkers * n_steps),
+        acceptance_rate=acceptance_rate,
         a=a,
         seed=seed if isinstance(seed, int) else -1,
     )

@@ -1,5 +1,7 @@
 """Tests for the constitutive models and material-point drivers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from calibrix import materials
-from calibrix.errors import DriverError, ParameterError
+from calibrix.errors import DriverError, IntegrationError, ParameterError
 from calibrix.materials import (
     ElasticParams,
     MaterialState,
@@ -284,6 +286,74 @@ class TestIntegrator:
 
 
 # ---------------------------------------------------------------------------
+# Scalar uniaxial step
+# ---------------------------------------------------------------------------
+
+def signed_floats(lo, hi):
+    """Floats x with lo <= |x| <= hi, of either sign."""
+    return st.floats(lo, hi) | st.floats(-hi, -lo)
+
+
+def _bits(*values) -> np.ndarray:
+    return np.array(values, dtype=float).view(np.int64)
+
+
+class TestUniaxialStep:
+    """``_uniaxial_step`` against the 3x3 integrator on diagonal states, bit for bit.
+
+    The plastic cases are built to yield: |e_ax - e_lat| >= 0.005 drives the
+    deviatoric trial stress past every drawn yield stress, whatever the drawn
+    viscous strain and backstress.  The elastic case never yields (k = 1e6).
+    Non-positive steps must raise the same error in both routines.
+    """
+
+    @pytest.mark.parametrize("branch", ["elastic", "rate-independent", "viscous"])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=signed_floats(0.005, 0.05),
+        e_lat=st.floats(-0.05, 0.05),
+        ev=st.tuples(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3)),
+        x=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+        arc=st.floats(0.0, 0.1),
+        k=st.floats(20.0, 200.0),
+        b=st.floats(0.0, 200.0),
+        c=st.floats(0.0, 2e4),
+        eta=st.floats(1e-3, 1.0),
+        r=st.floats(1.0, 3.0),
+        dt=st.floats(-0.1, 2.0),
+    )
+    def test_bit_identical_to_3x3_integrator(self, branch, d, e_lat, ev, x, arc,
+                                             k, b, c, eta, r, dt):
+        ep = steel_elastic()
+        pp = PlasticParams(k=1e6 if branch == "elastic" else k, b=b, c=c,
+                           eta=eta if branch == "viscous" else 0.0, r=r)
+        e_ax = e_lat + d
+        state = MaterialState(np.diag([ev[0], ev[1], ev[1]]), np.diag([x[0], x[1], x[1]]), arc)
+        scalars = (ev[0], ev[1], x[0], x[1], arc)
+        try:
+            new, sig = integrate_viscoplastic_step(
+                state, np.diag([e_ax, e_lat, e_lat]), dt, ep, pp)
+        except IntegrationError as exc:
+            with pytest.raises(IntegrationError, match=re.escape(str(exc))):
+                materials._uniaxial_step(scalars, e_ax, e_lat, dt, ep.bulk, ep.shear, pp)
+            return
+        got, sig_ax, sig_lat = materials._uniaxial_step(
+            scalars, e_ax, e_lat, dt, ep.bulk, ep.shear, pp)
+
+        ev_ax, ev_lat, x_ax, x_lat, s = got
+        assert np.array_equal(
+            _bits(ev_ax, ev_lat, ev_lat, x_ax, x_lat, x_lat, s, sig_ax, sig_lat, sig_lat),
+            _bits(*np.diag(new.viscous_strain), *np.diag(new.backstress), new.arc_length,
+                  *np.diag(sig)))
+        # The 3x3 state stays diagonal, with +0.0 off the diagonal.
+        off = ~np.eye(3, dtype=bool)
+        for t in (new.viscous_strain, new.backstress):
+            assert np.array_equal(t[off].view(np.int64), np.zeros(6, dtype=np.int64))
+        # The integrator returns its input state exactly when it stays elastic.
+        assert (new is state) == (branch == "elastic") == (got is scalars)
+
+
+# ---------------------------------------------------------------------------
 # Uniaxial driver
 # ---------------------------------------------------------------------------
 
@@ -339,15 +409,14 @@ class TestUniaxialDriver:
     def test_one_integrator_call_per_secant_evaluation(self, monkeypatch, pp):
         ep = steel_elastic()
         eps = np.linspace(0.0, 0.03, 31)
-        integrate = materials.integrate_viscoplastic_step
+        step = materials._uniaxial_step
         seen = []
 
-        def counting(state, strain, dt, ep_, pp_):
-            seen.append((state.viscous_strain.tobytes(), state.backstress.tobytes(),
-                         state.arc_length, np.asarray(strain).tobytes()))
-            return integrate(state, strain, dt, ep_, pp_)
+        def counting(state, e_ax, e_lat, dt, K, G, pp_):
+            seen.append((state, e_ax, e_lat))
+            return step(state, e_ax, e_lat, dt, K, G, pp_)
 
-        monkeypatch.setattr(materials, "integrate_viscoplastic_step", counting)
+        monkeypatch.setattr(materials, "_uniaxial_step", counting)
         sigma, lat, state = uniaxial_plastic_driver(eps, 0.1, ep, pp)
         monkeypatch.undo()
 
@@ -367,6 +436,31 @@ class TestUniaxialDriver:
         assert np.array_equal(state.viscous_strain, fresh.viscous_strain)
         assert np.array_equal(state.backstress, fresh.backstress)
         assert state.arc_length == fresh.arc_length
+
+    def test_nonpositive_step_raises_at_its_step(self):
+        ep = steel_elastic()
+        pp = PlasticParams(**HARDENING)
+        eps = np.linspace(0.0, 0.01, 6)
+        for bad in (0.0, -0.1):
+            dt = np.full(eps.size - 1, 0.1)
+            dt[2] = bad
+            calls = []
+            step = materials._uniaxial_step
+
+            def counting(state, e_ax, *args):
+                calls.append(e_ax)
+                return step(state, e_ax, *args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(materials, "_uniaxial_step", counting)
+                with pytest.raises(IntegrationError, match=f"got dt={bad}"):
+                    uniaxial_plastic_driver(eps, dt, ep, pp)
+            # Steps 1 and 2 ran; step 3 raised on its first evaluation.
+            assert eps[1] in calls and eps[2] in calls
+            assert calls[-1] == eps[3]
+            assert eps[3] not in calls[:-1]
+        with pytest.raises(IntegrationError):
+            uniaxial_plastic_driver(eps, 0.0, ep, pp)
 
     def test_history_must_start_at_zero(self):
         ep = steel_elastic()

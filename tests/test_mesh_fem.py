@@ -322,6 +322,24 @@ class TestDecompositionSolve:
         estimate = float(str(info.value).rsplit(" ", 1)[1])
         assert np.isfinite(estimate) and estimate > 1e12
 
+    def test_condition_estimate_is_deterministic(self, plate):
+        # The estimate's random start vectors come from a fixed seed, and the
+        # caller's global RNG neither changes it nor is advanced by it.
+        mesh, part = plate
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        messages = []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            with pytest.raises(SolverError, match="inaccurate") as info:
+                decomp.solve(np.ones(2), applied_forces(mesh, part),
+                             prescribed_values(mesh, part))
+            after = np.random.get_state()
+            assert after[0] == before[0] and after[2:] == before[2:]
+            assert np.array_equal(after[1], before[1])
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     def test_condition_estimate_from_factors(self, plate):
         mesh, part = plate
         K = StiffnessDecomposition.from_mesh(mesh, part).stiffness(KAPPA_STEEL).K.tocsc()

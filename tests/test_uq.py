@@ -10,10 +10,12 @@ from calibrix.benchmarks import (
     TWOSTEP_TRUTH,
     fit_plastic,
     generate_twostep_data,
+    plastic_forward_model,
     two_step_identify,
+    uniaxial_response,
 )
 from calibrix.errors import NumericalError, ParameterError
-from calibrix.identify_reduced import ForwardModel, solve_nls
+from calibrix.identify_reduced import ForwardModel, jacobian_external_nd, solve_nls
 from calibrix.uq import (
     covariance_and_ci,
     ensemble_sample,
@@ -100,6 +102,16 @@ class TestTwoStepCovariance:
         assert carried[0] > naive[0]
         assert (carried[0] - naive[0]) / naive[0] < 0.3
         assert np.all(carried >= naive * 0.999)
+
+    def test_fit_jacobian_is_the_cross_sensitivity_base(self, twostep_data):
+        # plastic_cross_sensitivities takes J_p at kappa_e from the fit; a
+        # fresh forward difference at the fitted point gives the same bits.
+        kappa_e = np.array([TWOSTEP_TRUTH["K"], TWOSTEP_TRUTH["G"]])
+        result_p = fit_plastic(twostep_data, kappa_e)
+        base = uniaxial_response(kappa_e, result_p.kappa, twostep_data.eps_plastic)
+        model = plastic_forward_model(kappa_e, twostep_data.eps_plastic)
+        fresh = jacobian_external_nd(model, result_p.kappa, base=base)
+        assert np.array_equal(fresh, result_p.jacobian)
 
     def test_non_psd_rejected(self, twostep_data):
         kappa_e = np.array([TWOSTEP_TRUTH["K"], TWOSTEP_TRUTH["G"]])
@@ -203,6 +215,30 @@ class TestLogLikelihood:
 
 
 class TestEnsembleSampler:
+    def test_empty_sweeps_warn_once(self):
+        # A target much narrower than the box rejects most stretch moves, so
+        # whole sweeps accept nothing.  The pinned values were recorded when
+        # every empty sweep warned on its own: the warnings changed, the chain
+        # did not.
+        mu, s = np.array([0.3, -0.2]), np.array([1e-3, 2e-3])
+        with pytest.warns(UserWarning) as record:
+            chain = ensemble_sample(lambda x: -0.5 * float(np.sum(((x - mu) / s) ** 2)),
+                                    [-1.0, -1.0], [1.0, 1.0], n_walkers=4, n_steps=30,
+                                    seed=3)
+        per_step = chain.accepted.sum(axis=0)
+        assert per_step.tolist() == [1, 1, 3, 2, 3, 0, 0, 0, 1, 2, 1, 1, 1, 2, 1,
+                                     1, 1, 0, 0, 1, 2, 3, 0, 0, 2, 1, 0, 1, 1, 0]
+        assert chain.acceptance_rate == 32 / 120
+        assert_allclose(chain.samples[:, -1, :],
+                        [[0.08710493344637382, -0.5465733334301663],
+                         [0.33125449677403396, -0.09479979724414916],
+                         [0.06408017214050021, -0.36489299744198106],
+                         [0.3374724481723553, -0.19504946971361808]], rtol=1e-12)
+        assert len(record) == 1
+        assert str(record[0].message).startswith(
+            "9 of 30 ensemble sweeps accepted no proposal (acceptance rate 0.267)")
+        assert record[0].filename == __file__
+
     def test_flat_target_uniform(self):
         # KS needs near-independent draws: thin the post-burn-in chain down
         # to 5000 samples (the raw pooled walkers are autocorrelated).
