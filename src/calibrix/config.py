@@ -8,6 +8,35 @@ import os
 from .errors import ConfigError
 
 
+def read_text_lines(path, error=ConfigError):
+    """Yield the lines of a UTF-8 text file, as text-mode ``open`` reads them.
+
+    A file that cannot be read, or whose bytes are not UTF-8, raises
+    ``error``; a decoding error names ``path:line`` of the first bad byte.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise error(_not_utf8(path)) from None
+
+
+def _not_utf8(path) -> str:
+    """``path:line`` of the first byte of ``path`` that is not UTF-8, with the byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count lines as text mode does: \n, \r\n and a lone \r each end one.
+        head = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line = head.count("\n") + 1
+        return f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
+    return f"{path}: not UTF-8 text"  # the file changed while it was read
+
+
 class Config:
     """Flat key = value configuration with typed accessors.
 
@@ -25,15 +54,14 @@ class Config:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         values = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                values[key] = value
+        for lineno, raw in enumerate(read_text_lines(path), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            values[key] = value
         return cls(values, path=str(path))
 
     def has(self, key: str) -> bool:

@@ -10,7 +10,7 @@ a single scalar equation through the radial-return structure of the model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,18 +28,33 @@ _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
 
 
+def _store_floats(params) -> None:
+    """Store each field of a frozen parameter dataclass as a Python float."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        try:
+            object.__setattr__(params, f.name, float(value))
+        except (TypeError, ValueError, OverflowError):
+            raise ParameterError(f"{f.name} must be a real number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ElasticParams:
     """Isotropic linear elasticity, stored as (E, nu).
 
     Units: E in N/mm^2, nu dimensionless.  Use :meth:`from_bulk_shear` to
-    construct from (K, G).
+    construct from (K, G).  Both fields are stored as Python floats, whatever
+    number type is passed (callers pass array elements: sampler walkers, NLS
+    iterates): the point model's scalar arithmetic gives the same bits on
+    Python floats as on numpy scalars at about half the cost.  A value that
+    ``float()`` rejects raises ParameterError.
     """
 
     E: float
     nu: float
 
     def __post_init__(self):
+        _store_floats(self)
         if not (self.E > 0.0):
             raise ParameterError(f"Young's modulus must be positive, got E={self.E}")
         if not (-1.0 < self.nu < 0.5):
@@ -138,6 +153,10 @@ class PlasticParams:
     b, c  kinematic-hardening saturation rate (-) and modulus (N/mm^2)
     eta   viscosity (s); eta = 0 selects the rate-independent limit
     r     overstress exponent (-)
+
+    All fields are stored as Python floats, for the reason given in
+    :class:`ElasticParams`: the return map and its Newton corrector do all
+    their scalar arithmetic on them.
     """
 
     k: float
@@ -147,6 +166,7 @@ class PlasticParams:
     r: float = 1.0
 
     def __post_init__(self):
+        _store_floats(self)
         if not (self.k > 0.0):
             raise ParameterError(f"yield stress must be positive, got k={self.k}")
         if self.b < 0.0 or self.c < 0.0 or self.eta < 0.0:
@@ -190,6 +210,15 @@ def _inner(x: np.ndarray, y: np.ndarray) -> float:
     result is bit-identical, without its reshape and transpose overhead.
     """
     return float(np.dot(x.ravel(), y.ravel()))
+
+
+def _power(x: float, y: float) -> float:
+    """x**y, or inf where the result overflows, as numpy scalars return it
+    (Python floats raise OverflowError)."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
 
 
 def _solve_plastic_multiplier(naa, nab, nbb, G, pp: PlasticParams, dt):
@@ -263,8 +292,8 @@ def _solve_plastic_multiplier(naa, nab, nbb, G, pp: PlasticParams, dt):
         f = 0.5 * nxi * nxi - k * k / 3.0
         over = max(f / SIGMA_0, 0.0)
         df = nxi * dnxi / SIGMA_0
-        return (dlam / dt - inv_eta * over**pp.r,
-                1.0 / dt - inv_eta * pp.r * over ** (pp.r - 1.0) * df)
+        return (dlam / dt - inv_eta * _power(over, pp.r),
+                1.0 / dt - inv_eta * pp.r * _power(over, pp.r - 1.0) * df)
 
     r_lo = vp(0.0)[0]
     if r_lo >= -_NEWTON_TOL:
@@ -402,6 +431,8 @@ def uniaxial_plastic_driver(
     strain history, and the final state.
 
     ``dt`` is a scalar step duration or an array of length ``len(axial_strain) - 1``.
+    Strains and step sizes are read as Python floats, as the parameters are
+    stored, so every step runs on Python-float arithmetic.
     """
     eps = np.asarray(axial_strain, dtype=float)
     if eps.ndim != 1 or eps.size == 0:
@@ -409,7 +440,7 @@ def uniaxial_plastic_driver(
     if eps[0] != 0.0:
         raise DriverError(f"strain history must start at 0, got {eps[0]}")
     n = eps.size
-    dts = np.broadcast_to(np.asarray(dt, dtype=float), (n - 1,)) if n > 1 else np.empty(0)
+    dts = np.broadcast_to(np.asarray(dt, dtype=float), (n - 1,)).tolist() if n > 1 else []
     tol = lateral_tol if lateral_tol is not None else 1e-9 * pp.k
 
     K, G = ep.bulk, ep.shear

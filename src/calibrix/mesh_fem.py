@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .config import read_text_lines
 from .errors import ConfigError, DataCoverageError, GeometryError, SolverError
 
 # Reference-square node coordinates (counter-clockwise) and 2x2 Gauss points.
@@ -479,32 +480,6 @@ def assemble_vfm_system(
     return VfmSystem(A=A, p_vec=p_vec, sigma_r=sigma_r)
 
 
-def assemble_aao_matrices(
-    mesh: Mesh,
-    part: DofPartition,
-    kappa: np.ndarray,
-    p_check: float,
-    sigma_r: float,
-    m: np.ndarray | None = None,
-) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
-    """Row-reduced stiffness system K_fr u + Kbar_fr ubar = p_vec.
-
-    Keeps the zero-load equilibrium rows of the stiffness blocks and appends
-    the sqrt(sigma_r)-scaled resultant row; kappa = (C11, C12).
-    """
-    if m is None:
-        m = default_resultant_selector(mesh, part)
-    C = kappa[0] * _C_BASIS[0] + kappa[1] * _C_BASIS[1]
-    stiff = assemble_stiffness(mesh, part, C)
-    zero = zero_force_rows(mesh, part)
-    root = math.sqrt(sigma_r)
-    K_fr = sp.vstack([stiff.K[zero], sp.csr_matrix(root * (m @ stiff.Kbar.T))]).tocsr()
-    Kbar_fr = sp.vstack([stiff.Kbar[zero], sp.csr_matrix(root * (m @ stiff.Kbarbar))]).tocsr()
-    p_vec = np.zeros(len(zero) + 1)
-    p_vec[-1] = root * p_check
-    return K_fr, Kbar_fr, p_vec
-
-
 def _shared_pattern(x: sp.csr_matrix, y: sp.csr_matrix) -> None:
     if not (x.has_canonical_format and np.array_equal(x.indptr, y.indptr)
             and np.array_equal(x.indices, y.indices)):
@@ -635,41 +610,69 @@ def write_mesh_file(path, mesh: Mesh) -> None:
             fh.write(f"load {node + 1} {comp + 1} {float(value)!r}\n")
 
 
+# Fields after each mesh-file keyword.
+_MESH_FIELDS = {"node": 3, "elem": 5, "fix": 3, "load": 3, "thickness": 1}
+
+
 def read_mesh_file(path) -> Mesh:
+    """Read a file written by :func:`write_mesh_file`.
+
+    An unknown keyword, a wrong number of fields, a field that does not parse
+    as its number type, a non-finite number, a repeated id or thickness line,
+    or bytes that are not UTF-8 raise ConfigError naming ``path:line``.
+    """
     nodes = {}
     elements = {}
     dirichlet = []
     neumann = []
     thickness = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            kind, args = parts[0], parts[1:]
-            try:
-                if kind == "node":
-                    nodes[int(args[0])] = (float(args[1]), float(args[2]))
-                elif kind == "elem":
-                    elements[int(args[0])] = [int(a) - 1 for a in args[1:5]]
-                elif kind == "fix":
-                    dirichlet.append((int(args[0]) - 1, int(args[1]) - 1, float(args[2])))
-                elif kind == "load":
-                    neumann.append((int(args[0]) - 1, int(args[1]) - 1, float(args[2])))
-                elif kind == "thickness":
-                    thickness = float(args[0])
+    for lineno, raw in enumerate(read_text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kind, args = parts[0], parts[1:]
+        try:
+            if kind not in _MESH_FIELDS:
+                raise ValueError(f"unknown keyword {kind!r}")
+            if len(args) != _MESH_FIELDS[kind]:
+                raise ValueError(f"{kind} takes {_MESH_FIELDS[kind]} fields, got {len(args)}")
+            if kind == "node":
+                key, x, y = int(args[0]), float(args[1]), float(args[2])
+                if key in nodes:
+                    raise ValueError(f"repeated node id {key}")
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"node {key} has a non-finite coordinate")
+                nodes[key] = (x, y)
+            elif kind == "elem":
+                key = int(args[0])
+                if key in elements:
+                    raise ValueError(f"repeated elem id {key}")
+                elements[key] = [int(a) - 1 for a in args[1:]]
+            else:
+                value = float(args[-1])
+                if not math.isfinite(value):
+                    raise ValueError(f"not a finite number: {args[-1]!r}")
+                if kind == "thickness":
+                    if thickness is not None:
+                        raise ValueError("repeated thickness line")
+                    thickness = value
                 else:
-                    raise ValueError(f"unknown keyword {kind!r}")
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                    entry = (int(args[0]) - 1, int(args[1]) - 1, value)
+                    (dirichlet if kind == "fix" else neumann).append(entry)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if thickness is None:
         raise ConfigError(f"{path}: missing thickness line")
     for name, table in (("node", nodes), ("elem", elements)):
         if sorted(table) != list(range(1, len(table) + 1)):
             raise ConfigError(f"{path}: {name} ids must be 1-based and contiguous")
     node_arr = np.array([nodes[i] for i in range(1, len(nodes) + 1)])
-    elem_arr = np.array([elements[i] for i in range(1, len(elements) + 1)], dtype=np.int64)
+    try:
+        elem_arr = np.array([elements[i] for i in range(1, len(elements) + 1)],
+                            dtype=np.int64)
+    except OverflowError:
+        raise ConfigError(f"{path}: an element node id is out of range") from None
     return Mesh(
         nodes=node_arr,
         elements=elem_arr,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_text_lines
 from .errors import DataCoverageError, InterpolationError, WeightingError
 from .materials import elasticity_matrix_plane_stress, ElasticParams
 from .mesh_fem import (
@@ -307,33 +308,33 @@ def read_observation_csv(path) -> ObservationSet:
     """Read a file written by ``write_observation_csv``.
 
     A row with the wrong number of fields, a field that does not parse as its
-    number type, or a non-positive weight raises DataCoverageError naming
-    ``path:line``.
+    number type, a non-positive weight, or bytes that are not UTF-8 raise
+    DataCoverageError naming ``path:line``.
     """
     rows = []
     n_fields = len(CSV_HEADER.split(","))
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise DataCoverageError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != n_fields:
-                raise DataCoverageError(
-                    f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
-                )
-            exp, step, point, x, y, comp, value, weight = fields
-            try:
-                row = (int(exp), int(step), comp, int(point) - 1,
-                       float(x), float(y), float(value), float(weight))
-            except ValueError as exc:
-                raise DataCoverageError(f"{path}:{lineno}: {exc}") from None
-            if not row[7] > 0.0:
-                raise DataCoverageError(f"{path}:{lineno}: weight must be positive")
-            rows.append(row)
+    lines = read_text_lines(path, DataCoverageError)
+    header = next(lines, "").strip()
+    if header != CSV_HEADER:
+        raise DataCoverageError(f"{path}: unexpected header {header!r}")
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != n_fields:
+            raise DataCoverageError(
+                f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
+            )
+        exp, step, point, x, y, comp, value, weight = fields
+        try:
+            row = (int(exp), int(step), comp, int(point) - 1,
+                   float(x), float(y), float(value), float(weight))
+        except ValueError as exc:
+            raise DataCoverageError(f"{path}:{lineno}: {exc}") from None
+        if not row[7] > 0.0:
+            raise DataCoverageError(f"{path}:{lineno}: weight must be positive")
+        rows.append(row)
     if not rows:
         raise DataCoverageError(f"{path}: no observations")
     d = np.array([r[6] for r in rows])

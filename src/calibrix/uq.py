@@ -306,6 +306,11 @@ class EnsembleChain:
         return self.posterior().std(axis=0, ddof=1)
 
 
+# Usual lower bound of a healthy stretch-move acceptance rate (Foreman-Mackey
+# et al. 2013 advise 0.2-0.5); below it the chain mixes poorly.
+LOW_ACCEPTANCE = 0.2
+
+
 def ensemble_sample(
     log_post,
     lower,
@@ -322,8 +327,8 @@ def ensemble_sample(
     the line to a partner from the complementary half, with stretch factor
     z ~ g(z) on [1/a, a]).  Proposals outside [lower, upper] are rejected, so
     every sample stays inside the support.  Deterministic for a fixed seed.
-    If some sweeps accepted no proposal, one warning at the end of the run
-    gives their number and the acceptance rate.
+    A run whose acceptance rate is below ``LOW_ACCEPTANCE`` warns once, at
+    the end, with the rate and the number of sweeps that accepted nothing.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -361,12 +366,12 @@ def ensemble_sample(
         samples[:, step, :] = x
         log_posts[:, step] = lp
     acceptance_rate = n_accept / (n_walkers * n_steps)
-    n_empty = int(np.count_nonzero(~accepted_flags.any(axis=0)))
-    if n_empty:
+    if acceptance_rate < LOW_ACCEPTANCE:
+        n_empty = int(np.count_nonzero(~accepted_flags.any(axis=0)))
         warnings.warn(
-            f"{n_empty} of {n_steps} ensemble sweeps accepted no proposal "
-            f"(acceptance rate {acceptance_rate:.3f}); consider a smaller "
-            f"stretch parameter (a = {a})",
+            f"acceptance rate {acceptance_rate:.3f} is below {LOW_ACCEPTANCE} "
+            f"({n_empty} of {n_steps} ensemble sweeps accepted no proposal); "
+            f"consider a smaller stretch parameter (a = {a})",
             stacklevel=2,
         )
     return EnsembleChain(

@@ -306,3 +306,26 @@ def test_point_model_commands_load_no_sparse_stack(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "loaded []"
+
+
+def test_non_utf8_config_exits_2(tmp_path):
+    """A config file that is not UTF-8 ends in a typed error and exit 2."""
+    (tmp_path / "bad.cfg").write_bytes(b"seed = 0\nreport_out = \xff.txt\n")
+    src = os.path.dirname(os.path.dirname(calibrix.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "calibrix.cli", "uq", "-c", "bad.cfg",
+                          "--method", "two-step"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "config error: bad.cfg:2: not UTF-8 text (byte 0xff)\n"
+
+
+def test_non_utf8_mesh_exits_2(workdir, capsys):
+    mesh = workdir / "latin1.mesh"
+    mesh.write_bytes((workdir / "plate.mesh").read_bytes() + b"# \xe9l\xe9ment\n")
+    cfg = write_config(workdir, "latin1.cfg", mesh_file=str(mesh), E_true=210000.0,
+                       nu_true=0.3, data_out=str(workdir / "latin1.csv"))
+    n_lines = len((workdir / "plate.mesh").read_bytes().splitlines())
+    assert main(["generate", "-c", cfg]) == 2
+    assert f"{mesh}:{n_lines + 1}: not UTF-8 text (byte 0xe9)" in capsys.readouterr().err

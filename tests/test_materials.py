@@ -1,6 +1,7 @@
 """Tests for the constitutive models and material-point drivers."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -353,6 +354,88 @@ class TestUniaxialStep:
         assert (new is state) == (branch == "elastic") == (got is scalars)
 
 
+class TestParametersStoreFloats:
+    """Parameter fields are Python floats, so the point model runs on them."""
+
+    def test_numpy_scalars_and_array_elements(self):
+        values = np.array([2.1e5, 0.3, 250.0, 40.0, 3500.0, 0.5, 2.0])
+        for E, nu in ((np.float64(2.1e5), np.float64(0.3)), tuple(values[:2])):
+            ep = ElasticParams(E=E, nu=nu)
+            assert type(ep.E) is float and type(ep.nu) is float
+            assert (ep.E, ep.nu) == (2.1e5, 0.3)
+        pp = PlasticParams(*values[2:])
+        fields = (pp.k, pp.b, pp.c, pp.eta, pp.r)
+        assert all(type(v) is float for v in fields)
+        assert fields == tuple(values[2:])
+        assert type(PlasticParams(k=np.int64(100)).k) is float
+        ep = ElasticParams.from_bulk_shear(np.float64(STEEL["K"]), np.float64(STEEL["G"]))
+        assert type(ep.E) is float and type(ep.bulk) is float
+
+    @pytest.mark.parametrize("bad", ["steel", None, 1 + 2j, 10**400, object()],
+                             ids=["text", "none", "complex", "huge-int", "object"])
+    def test_value_float_rejects_raises_parameter_error(self, bad):
+        with pytest.raises(ParameterError, match="must be a real number"):
+            ElasticParams(E=bad, nu=0.3)
+        with pytest.raises(ParameterError, match="must be a real number"):
+            PlasticParams(k=100.0, c=bad)
+
+
+def _numpy_plastic_params(k, b, c, eta, r):
+    """PlasticParams' fields as numpy scalars: a namespace skips the coercion."""
+    f = np.float64
+    return SimpleNamespace(k=f(k), b=f(b), c=f(c), eta=f(eta), r=f(r),
+                           rate_independent=eta == 0.0)
+
+
+class TestMultiplierOnFloats:
+    """The Newton corrector gives the same bits on Python floats as on numpy
+    scalars, or raises the same error, in every branch: elastic (the
+    rate-independent residual is already non-positive), rate-independent,
+    viscous, and viscous with an overstress power that overflows."""
+
+    BRANCHES = {  # k, eta and r ranges
+        "elastic": ((1e6, 1e6), (0.0, 0.0), (1.0, 1.0)),
+        "rate-independent": ((20.0, 200.0), (0.0, 0.0), (1.0, 1.0)),
+        "viscous": ((20.0, 200.0), (1e-3, 1.0), (1.0, 3.0)),
+        "overflow": ((20.0, 200.0), (1e-4, 1e-2), (60.0, 150.0)),
+    }
+
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           a_ax=signed_floats(1e3, 2e4),
+           x=st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+           b=st.floats(0.0, 200.0),
+           c=st.floats(0.0, 2e4),
+           dt=st.floats(1e-3, 2.0))
+    def test_bit_identical_to_numpy_scalars(self, branch, data, a_ax, x, b, c, dt):
+        (k_lo, k_hi), (eta_lo, eta_hi), (r_lo, r_hi) = self.BRANCHES[branch]
+        k = data.draw(st.floats(k_lo, k_hi))
+        eta = data.draw(st.floats(eta_lo, eta_hi))
+        r = data.draw(st.floats(r_lo, r_hi))
+        a, xd = materials._diag(a_ax, -0.5 * a_ax), materials._diag(*x)
+        norms = (float(a.dot(a)), float(a.dot(xd)), float(xd.dot(xd)))
+        G = steel_elastic().shear
+
+        def solve(naa, nab, nbb, G, pp, dt):
+            try:
+                return materials._solve_plastic_multiplier(naa, nab, nbb, G, pp, dt)
+            except IntegrationError as exc:
+                return exc
+
+        with np.errstate(all="ignore"):
+            expected = solve(*(np.float64(v) for v in (*norms, G)),
+                             _numpy_plastic_params(k, b, c, eta, r), np.float64(dt))
+        got = solve(*norms, G, PlasticParams(k=k, b=b, c=c, eta=eta, r=r), dt)
+        if isinstance(expected, IntegrationError):
+            assert isinstance(got, IntegrationError) and str(got) == str(expected)
+        else:
+            assert type(got) is float
+            assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+        if branch == "elastic":
+            assert got == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Uniaxial driver
 # ---------------------------------------------------------------------------
@@ -461,6 +544,16 @@ class TestUniaxialDriver:
             assert eps[3] not in calls[:-1]
         with pytest.raises(IntegrationError):
             uniaxial_plastic_driver(eps, 0.0, ep, pp)
+
+    def test_overflowing_overstress_raises_integration_error(self):
+        # over**r overflows for r = 100, where numpy scalars return inf and
+        # Python floats raise OverflowError.  The step ends in the corrector's
+        # typed error, with the message numpy-scalar parameters always gave.
+        pp = PlasticParams(k=100.0, b=5.0, c=500.0, eta=1e-3, r=100.0)
+        with pytest.raises(IntegrationError, match=re.escape(
+                "plastic corrector did not converge in 50 iterations (residual -2.736e+280)")):
+            uniaxial_plastic_driver(np.linspace(0.0, 0.05, 21), 0.1,
+                                    ElasticParams(E=210000.0, nu=0.3), pp)
 
     def test_history_must_start_at_zero(self):
         ep = steel_elastic()

@@ -1,19 +1,32 @@
 """Tests for the Q4 plane-stress core: elements, assembly, solves, linear maps."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from calibrix.errors import ConfigError, DataCoverageError, GeometryError, SolverError
+from calibrix.errors import (
+    CalibrixError,
+    ConfigError,
+    DataCoverageError,
+    GeometryError,
+    SolverError,
+)
+from calibrix.identify_aao import AaoOperators
 from calibrix.materials import ElasticParams, c_coords_from_E_nu, elasticity_matrix_plane_stress
 from calibrix.mesh_fem import (
     DofPartition,
     Mesh,
     StiffnessDecomposition,
+    _C_BASIS,
     _condition_estimate,
     applied_forces,
-    assemble_aao_matrices,
     assemble_parameter_matrices,
     assemble_stiffness,
     assemble_vfm_system,
@@ -383,7 +396,39 @@ class TestVfmSystem:
             assemble_vfm_system(mesh, part, bad, 0.0, 1.0)
 
 
+def assemble_aao_matrices(mesh, part, kappa, p_check, sigma_r, m=None):
+    """Row-reduced stiffness system K_fr u + Kbar_fr ubar = p_vec, assembled
+    from scratch at kappa = (C11, C12).
+
+    The oracle for ``AaoOperators``, which builds the same rows from the two
+    coefficient blocks of the stiffness: the zero-load equilibrium rows plus
+    the sqrt(sigma_r)-scaled resultant row.
+    """
+    if m is None:
+        m = default_resultant_selector(mesh, part)
+    C = kappa[0] * _C_BASIS[0] + kappa[1] * _C_BASIS[1]
+    stiff = assemble_stiffness(mesh, part, C)
+    zero = zero_force_rows(mesh, part)
+    root = math.sqrt(sigma_r)
+    K_fr = sp.vstack([stiff.K[zero], sp.csr_matrix(root * (m @ stiff.Kbar.T))]).tocsr()
+    Kbar_fr = sp.vstack([stiff.Kbar[zero], sp.csr_matrix(root * (m @ stiff.Kbarbar))]).tocsr()
+    p_vec = np.zeros(len(zero) + 1)
+    p_vec[-1] = root * p_check
+    return K_fr, Kbar_fr, p_vec
+
+
 class TestAaoMatrices:
+    def test_aao_operators_match_oracle(self, plate):
+        mesh, part = plate
+        ops = AaoOperators(mesh, part, -1500.0, sigma_r=1e4)
+        K_fr, Kbar_fr, p_vec = assemble_aao_matrices(mesh, part, KAPPA_STEEL, -1500.0, 1e4)
+        scale = np.abs(K_fr.data).max()
+        assert_allclose(ops.k_fr(KAPPA_STEEL).toarray(), K_fr.toarray(),
+                        rtol=0, atol=1e-12 * scale)
+        kbar = KAPPA_STEEL[0] * ops.Kbar_fr[0] + KAPPA_STEEL[1] * ops.Kbar_fr[1]
+        assert_allclose(kbar.toarray(), Kbar_fr.toarray(), rtol=0, atol=1e-12 * scale)
+        assert np.array_equal(ops.p_vec, p_vec)
+
     def test_exact_solution_residual(self, plate, plate_solution):
         mesh, part = plate
         _, _, ubar, u, p = plate_solution
@@ -442,6 +487,104 @@ class TestMeshFile:
         path.write_text("thickness 1.0\nnode 1 0 0\nnode 3 1 0\n")
         with pytest.raises(ConfigError, match="contiguous"):
             read_mesh_file(path)
+
+    @pytest.mark.parametrize("line, reason", [
+        ("node 5 nan 0", "node 5 has a non-finite coordinate"),
+        ("node 5 1 inf", "node 5 has a non-finite coordinate"),
+        ("load 3 1 -inf", "not a finite number: '-inf'"),
+        ("thickness 2.0", "repeated thickness line"),
+        ("elem 1 1 2 3 4 5", "elem takes 5 fields, got 6"),
+        ("elem 1 1 2 3", "elem takes 5 fields, got 4"),
+        ("node 1 0 0", "repeated node id 1"),
+    ])
+    def test_bad_line_names_path_and_line(self, tmp_path, line, reason):
+        path = tmp_path / "bad.mesh"
+        path.write_text(f"thickness 1.0\nnode 1 0 0\nnode 2 1 0\nnode 3 1 1\n"
+                        f"node 4 0 1\n{line}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:6: {reason}")):
+            read_mesh_file(path)
+
+    def test_element_node_beyond_int64(self, tmp_path):
+        path = tmp_path / "bad.mesh"
+        path.write_text("thickness 1.0\nnode 1 0 0\nnode 2 1 0\nnode 3 1 1\n"
+                        "node 4 0 1\nelem 1 1 2 3 99999999999999999999\n")
+        with pytest.raises(ConfigError, match="element node id is out of range"):
+            read_mesh_file(path)
+
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.mesh"
+        path.write_bytes(b"thickness 1.0\r\nnode 1 0 0\r\nnode 2 \xff 0\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:3: not UTF-8 text (byte 0xff)")):
+            read_mesh_file(path)
+
+
+@pytest.fixture(scope="module")
+def mesh_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mesh") / "valid.mesh"
+    write_mesh_file(path, uniaxial_patch_mesh(2, 2))
+    return path, path.read_text().splitlines()
+
+
+# Letters that cannot spell a keyword, nan, inf or infinity.
+_NOT_A_NUMBER = st.text(alphabet="bgjkmpqrsuvwxz_?", min_size=1, max_size=6)
+
+
+@st.composite
+def _broken_mesh_line(draw, lines):
+    kind = draw(st.sampled_from(("short", "extra", "text", "nonfinite")))
+    if kind == "nonfinite":
+        # The last field of every line but elem is a float.
+        row = draw(st.sampled_from([i for i, l in enumerate(lines) if not l.startswith("elem")]))
+    else:
+        row = draw(st.integers(0, len(lines) - 1))
+    fields = lines[row].split()
+    if kind == "short":
+        fields = fields[:-draw(st.integers(1, len(fields) - 1))]
+    elif kind == "extra":
+        fields += draw(st.lists(st.sampled_from(("1", "0.5", "x")), min_size=1, max_size=3))
+    elif kind == "text":
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(_NOT_A_NUMBER)
+    else:
+        fields[-1] = draw(st.sampled_from(("nan", "inf", "-inf", "1e999", "NaN")))
+    return row, " ".join(fields)
+
+
+class TestMeshFileFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_broken_line_names_path_and_line(self, mesh_lines, data):
+        path, lines = mesh_lines
+        row, broken_line = data.draw(_broken_mesh_line(lines))
+        broken = path.with_name("broken.mesh")
+        broken.write_text("\n".join(lines[:row] + [broken_line] + lines[row + 1:]) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{broken}:{row + 1}:")):
+            read_mesh_file(broken)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_bytes_parse_or_raise_typed(self, mesh_lines, data):
+        path, lines = mesh_lines
+        raw = ("\n".join(lines) + "\n").encode()
+        at = data.draw(st.integers(0, len(raw)))
+        cut = data.draw(st.integers(0, 8))
+        junk = data.draw(st.binary(max_size=8))
+        broken = path.with_name("corrupt.mesh")
+        broken.write_bytes(raw[:at] + junk + raw[at + cut:])
+        try:
+            mesh = read_mesh_file(broken)
+        except CalibrixError:
+            return
+        assert np.all(np.isfinite(mesh.nodes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=st.binary(max_size=120))
+    def test_random_bytes_parse_or_raise_typed(self, mesh_lines, raw):
+        path = mesh_lines[0].with_name("random.mesh")
+        path.write_bytes(raw)
+        try:
+            read_mesh_file(path)
+        except CalibrixError:
+            pass
 
 
 class TestGenerators:

@@ -325,6 +325,15 @@ class TestCsvFuzz:
         with pytest.raises(DataCoverageError, match=re.escape(f"{broken}:{row + 2}:")):
             read_observation_csv(broken)
 
+    def test_non_utf8_row_names_path_and_line(self, csv_lines):
+        path, lines = csv_lines
+        broken = path.with_name("latin1.csv")
+        broken.write_bytes("\n".join(lines[:3]).encode() + b"\n" + lines[3].encode()[:-4]
+                           + b"\xe9\n")
+        with pytest.raises(DataCoverageError,
+                           match=re.escape(f"{broken}:4: not UTF-8 text (byte 0xe9)")):
+            read_observation_csv(broken)
+
     def test_blank_lines_keep_line_numbers(self, csv_lines):
         path, lines = csv_lines
         broken = path.with_name("blank.csv")

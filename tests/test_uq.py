@@ -1,5 +1,7 @@
 """Tests for the statistical layer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -215,13 +217,15 @@ class TestLogLikelihood:
 
 
 class TestEnsembleSampler:
-    def test_empty_sweeps_warn_once(self):
+    def test_empty_sweeps_at_healthy_rate_do_not_warn(self):
         # A target much narrower than the box rejects most stretch moves, so
-        # whole sweeps accept nothing.  The pinned values were recorded when
-        # every empty sweep warned on its own: the warnings changed, the chain
-        # did not.
+        # whole sweeps accept nothing, but the acceptance rate (0.267) is
+        # above the stretch move's usual lower bound: no warning.  The pinned
+        # values were recorded when every empty sweep warned on its own: the
+        # warnings changed, the chain did not.
         mu, s = np.array([0.3, -0.2]), np.array([1e-3, 2e-3])
-        with pytest.warns(UserWarning) as record:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             chain = ensemble_sample(lambda x: -0.5 * float(np.sum(((x - mu) / s) ** 2)),
                                     [-1.0, -1.0], [1.0, 1.0], n_walkers=4, n_steps=30,
                                     seed=3)
@@ -234,9 +238,22 @@ class TestEnsembleSampler:
                          [0.33125449677403396, -0.09479979724414916],
                          [0.06408017214050021, -0.36489299744198106],
                          [0.3374724481723553, -0.19504946971361808]], rtol=1e-12)
+
+    def test_empty_sweeps_warn_once(self):
+        # The same target with a wider stretch: the rate falls below 0.2 and
+        # the run warns once, at the end.  (The stretch move is affine
+        # invariant, so narrowing the Gaussian alone leaves the rate as is.)
+        mu, s = np.array([0.3, -0.2]), np.array([1e-3, 2e-3])
+        with pytest.warns(UserWarning) as record:
+            chain = ensemble_sample(lambda x: -0.5 * float(np.sum(((x - mu) / s) ** 2)),
+                                    [-1.0, -1.0], [1.0, 1.0], n_walkers=4, n_steps=30,
+                                    a=5.0, seed=3)
+        assert chain.acceptance_rate == 23 / 120
+        assert int(np.count_nonzero(~chain.accepted.any(axis=0))) == 12
         assert len(record) == 1
-        assert str(record[0].message).startswith(
-            "9 of 30 ensemble sweeps accepted no proposal (acceptance rate 0.267)")
+        assert str(record[0].message) == (
+            "acceptance rate 0.192 is below 0.2 (12 of 30 ensemble sweeps accepted no "
+            "proposal); consider a smaller stretch parameter (a = 5.0)")
         assert record[0].filename == __file__
 
     def test_flat_target_uniform(self):
