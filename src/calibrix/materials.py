@@ -22,7 +22,8 @@ SIGMA_0 = 1.0  # N/mm^2
 
 _SQ23 = math.sqrt(2.0 / 3.0)
 _EYE3 = np.eye(3)
-_EPS = float(np.finfo(float).eps)
+# Relative bracket width at which the corrector accepts its iterate.
+_BRACKET_RTOL = 4.0 * float(np.finfo(float).eps)
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
@@ -212,15 +213,6 @@ def _inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x.ravel(), y.ravel()))
 
 
-def _power(x: float, y: float) -> float:
-    """x**y, or inf where the result overflows, as numpy scalars return it
-    (Python floats raise OverflowError)."""
-    try:
-        return x**y
-    except OverflowError:
-        return math.inf
-
-
 def _solve_plastic_multiplier(naa, nab, nbb, G, pp: PlasticParams, dt):
     """Scalar corrector equation for the plastic increment ``dlam``.
 
@@ -228,77 +220,106 @@ def _solve_plastic_multiplier(naa, nab, nbb, G, pp: PlasticParams, dt):
     trial stress a = 2G dev(E - E_v) and the old backstress X.  Returns the
     converged increment; the modified trial direction and norms follow from
     it in closed form.
+
+    With theta = 1/(1 + b sqrt(2/3) dlam), the modified trial norm is
+    |xi| = sqrt(naa - 2 theta nab + theta^2 nbb) - (2G + c theta) dlam.  The
+    rate-independent residual |xi| - sqrt(2/3) k is solved first, on a
+    bracket [0, hi] whose upper end doubles until the residual there is not
+    positive: its root closes the consistency condition for eta = 0 and
+    bounds the viscous root from above otherwise.  The viscous residual
+    dlam/dt - <f/SIGMA_0>^r/eta, with f = |xi|^2/2 - k^2/3, is then solved on
+    [0, dlam_ri].  One safeguarded-Newton loop finds both roots, evaluating
+    the residual and its derivative inline.  It bisects whenever a Newton
+    step leaves the bracket, and accepts the iterate once |residual| <= 1e-10
+    or the bracket has shrunk to machine precision (the residual is then
+    roundoff-limited); it raises IntegrationError after 50 iterates.
+    ``over**r`` that overflows a Python float counts as inf, as numpy scalars
+    return it, so such a step ends in that error.
     """
-    k = pp.k
+    k, c, r = pp.k, pp.c, pp.r
+    bs = pp.b * _SQ23
+    nbs = -pp.b * _SQ23
+    g2 = 2.0 * G
     sq23k = _SQ23 * k
+    # viscous: which residual; newton: False while the bracket's ends are
+    # evaluated; grow: the rate-independent bracket's upper end is evaluated.
+    # Tests read ``not (a <= b)`` rather than ``a > b`` so that a NaN takes
+    # the branch it always took.
+    viscous = newton = grow = False
+    x = lo = hi = 0.0
+    while True:
+        theta = 1.0 / (1.0 + bs * x)
+        q = naa - 2.0 * theta * nab + theta * theta * nbb
+        nhat = math.sqrt(0.0 if 0.0 > q else q)
+        h = g2 + c * theta
+        nxi = nhat - h * x
+        if viscous:
+            over = (0.5 * nxi * nxi - k2_3) / SIGMA_0
+            if 0.0 > over:
+                over = 0.0
+            try:
+                p = over**r
+            except OverflowError:
+                p = math.inf
+            res = x / dt - inv_eta * p
+        else:
+            res = nxi - sq23k
 
-    def norms(dlam):
-        # |xi| at dlam and its derivative, from one evaluation of theta.
-        theta = 1.0 / (1.0 + pp.b * _SQ23 * dlam)
-        nhat = math.sqrt(max(naa - 2.0 * theta * nab + theta * theta * nbb, 0.0))
-        nxi = nhat - (2.0 * G + pp.c * theta) * dlam
-        dtheta = -pp.b * _SQ23 * theta * theta
-        dnhat = ((theta * nbb - nab) * dtheta / nhat) if nhat > 0.0 else 0.0
-        return nxi, dnhat - (2.0 * G + pp.c * theta) - pp.c * dtheta * dlam
+        if newton:
+            if it == _NEWTON_MAX_ITER:
+                raise IntegrationError(
+                    f"plastic corrector did not converge in {_NEWTON_MAX_ITER} iterations "
+                    f"(residual {res:.3e})"
+                )
+            it += 1
+            if not (-_NEWTON_TOL <= res <= _NEWTON_TOL):
+                # The residual keeps its sign at lo throughout.
+                if (res > 0.0) == pos_lo:
+                    lo = x
+                else:
+                    hi = x
+                # hi >= 0 (G > 0), so this is max(abs(hi), 1e-300).
+                if not (hi - lo <= _BRACKET_RTOL * (hi if hi > 1e-300 else 1e-300)):
+                    dtheta = nbs * theta * theta
+                    dnhat = ((theta * nbb - nab) * dtheta / nhat) if nhat > 0.0 else 0.0
+                    d = dnhat - h - c * dtheta * x
+                    if viscous:
+                        try:
+                            p = over**r1
+                        except OverflowError:
+                            p = math.inf
+                        d = inv_dt - inv_eta_r * p * (nxi * d / SIGMA_0)
+                    x_new = x - res / d if d != 0.0 else lo
+                    x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+                    continue
+        elif viscous:  # the viscous residual at 0
+            if res >= -_NEWTON_TOL:
+                return 0.0
+            newton, pos_lo, lo, hi, it = True, res > 0.0, 0.0, dlam_ri, 0
+            x = 0.5 * (lo + hi)
+            continue
+        elif grow:  # the rate-independent residual at hi
+            if res > 0.0:
+                hi *= 2.0
+                x = hi
+                continue
+            newton, lo, it = True, 0.0, 0
+            x = 0.5 * (lo + hi)
+            continue
+        elif not (res <= _NEWTON_TOL):  # the rate-independent residual at 0
+            grow, pos_lo, hi = True, res > 0.0, res / g2
+            x = hi
+            continue
 
-    def ri(dlam):
-        nxi, dnxi = norms(dlam)
-        return nxi - sq23k, dnxi
-
-    def newton(fn, lo, hi, r_lo, r_hi):
-        # Safeguarded Newton: bisect whenever the Newton step leaves [lo, hi].
-        # The bracket-width exit accepts the root once the interval has shrunk
-        # to machine precision (the residual is then roundoff-limited).
-        x = 0.5 * (lo + hi)
-        for _ in range(_NEWTON_MAX_ITER):
-            r, d = fn(x)
-            if abs(r) <= _NEWTON_TOL:
-                return x
-            if (r > 0.0) == (r_lo > 0.0):
-                lo, r_lo = x, r
-            else:
-                hi, r_hi = x, r
-            if hi - lo <= 4.0 * _EPS * max(abs(hi), 1e-300):
-                return x
-            x_new = x - r / d if d != 0.0 else lo
-            if not (lo < x_new < hi):
-                x_new = 0.5 * (lo + hi)
-            x = x_new
-        raise IntegrationError(
-            f"plastic corrector did not converge in {_NEWTON_MAX_ITER} iterations "
-            f"(residual {fn(x)[0]:.3e})"
-        )
-
-    # Rate-independent root first: it closes the consistency condition for
-    # eta = 0 and brackets the viscous root from above otherwise.
-    r0 = ri(0.0)[0]
-    if r0 <= _NEWTON_TOL:
-        dlam_ri = 0.0
-    else:
-        hi = r0 / (2.0 * G)
-        r_hi = ri(hi)[0]
-        while r_hi > 0.0:
-            hi *= 2.0
-            r_hi = ri(hi)[0]
-        dlam_ri = newton(ri, 0.0, hi, r0, r_hi)
-
-    if pp.rate_independent:
-        return dlam_ri
-
-    inv_eta = 1.0 / pp.eta
-
-    def vp(dlam):
-        nxi, dnxi = norms(dlam)
-        f = 0.5 * nxi * nxi - k * k / 3.0
-        over = max(f / SIGMA_0, 0.0)
-        df = nxi * dnxi / SIGMA_0
-        return (dlam / dt - inv_eta * _power(over, pp.r),
-                1.0 / dt - inv_eta * pp.r * _power(over, pp.r - 1.0) * df)
-
-    r_lo = vp(0.0)[0]
-    if r_lo >= -_NEWTON_TOL:
-        return 0.0
-    return newton(vp, 0.0, dlam_ri, r_lo, vp(dlam_ri)[0])
+        # x is the root of the current residual.
+        if viscous or pp.rate_independent:
+            return x
+        viscous, newton, dlam_ri, x = True, False, x, 0.0
+        k2_3 = k * k / 3.0
+        inv_dt = 1.0 / dt
+        inv_eta = 1.0 / pp.eta
+        inv_eta_r = inv_eta * r
+        r1 = r - 1.0
 
 
 def integrate_viscoplastic_step(
@@ -363,15 +384,18 @@ def _diag(x_ax, x_lat) -> np.ndarray:
     return np.array((x_ax, x_lat, x_lat))
 
 
-def _uniaxial_step(state, e_ax, e_lat, dt, K, G, pp: PlasticParams):
+def _uniaxial_step(state, e_ax, e_lat, dt, K, G, pp: PlasticParams, x, nbb):
     """:func:`integrate_viscoplastic_step` for a uniaxial state, on scalars.
 
     Every tensor of a uniaxial step is diag(x_ax, x_lat, x_lat), so the step
     is carried by its axial and lateral diagonal entries.  ``state`` is the
     tuple (viscous strain ax, lat, backstress ax, lat, arc length) and the
-    total strain is diag(e_ax, e_lat, e_lat).  The same floating-point
-    operations run in the same order as in the 3x3 routine, so the results
-    are bit-identical.  Returns (new state, axial stress, lateral stress).
+    total strain is diag(e_ax, e_lat, e_lat).  ``x`` is the state's backstress
+    diagonal, ``_diag(x_ax, x_lat)``, and ``nbb`` its X:X, ``float(x.dot(x))``:
+    they depend on the state only, so a caller that evaluates one state at
+    several strains builds them once.  The same floating-point operations run
+    in the same order as in the 3x3 routine, so the results are
+    bit-identical.  Returns (new state, axial stress, lateral stress).
     """
     if dt <= 0.0:
         raise IntegrationError(f"step size must be positive, got dt={dt}")
@@ -388,9 +412,8 @@ def _uniaxial_step(state, e_ax, e_lat, dt, K, G, pp: PlasticParams):
     if f_trial < 0.0:
         return state, p + a_ax, p + a_lat
 
-    a, x = _diag(a_ax, a_lat), _diag(x_ax, x_lat)
-    dlam = _solve_plastic_multiplier(float(a.dot(a)), float(a.dot(x)), float(x.dot(x)),
-                                     G, pp, dt)
+    a = _diag(a_ax, a_lat)
+    dlam = _solve_plastic_multiplier(float(a.dot(a)), float(a.dot(x)), nbb, G, pp, dt)
 
     if dlam == 0.0:
         return state, p + a_ax, p + a_lat
@@ -427,8 +450,10 @@ def uniaxial_plastic_driver(
     one :func:`_uniaxial_step`, the scalar form of
     :func:`integrate_viscoplastic_step` for diagonal states, with bit-identical
     results; the state and stress of the step are those of the last
-    (converged) evaluation.  Returns the axial stress history, the lateral
-    strain history, and the final state.
+    (converged) evaluation.  The state does not change across a step's
+    evaluations, so its backstress diagonal and X:X are built once per step.
+    Returns the axial stress history, the lateral strain history, and the
+    final state.
 
     ``dt`` is a scalar step duration or an array of length ``len(axial_strain) - 1``.
     Strains and step sizes are read as Python floats, as the parameters are
@@ -458,12 +483,14 @@ def uniaxial_plastic_driver(
         else:
             guess = -ep.nu * eps_ax[i]
         e_ax, dt_i = eps_ax[i], dts[i - 1]
+        x = _diag(state[2], state[3])
+        nbb = float(x.dot(x))
 
         def transverse_stress(el):
             # Keeps (state, sigma_ax, sigma_lat) of the evaluation: the last
             # one is the step.
             nonlocal trial
-            trial = _uniaxial_step(state, e_ax, el, dt_i, K, G, pp)
+            trial = _uniaxial_step(state, e_ax, el, dt_i, K, G, pp, x, nbb)
             return trial[2]
 
         # Secant iteration, seeded with the elastic slope d(sigma22)/d(eps_lat).

@@ -311,6 +311,16 @@ class EnsembleChain:
 LOW_ACCEPTANCE = 0.2
 
 
+def _check_sampler_settings(ndim: int, n_walkers: int, n_steps: int, a: float) -> None:
+    """Raise ParameterError for settings no ensemble run can use."""
+    if n_walkers < 2 * ndim:
+        raise ParameterError(f"need at least {2 * ndim} walkers for {ndim} parameters")
+    if n_steps < 1:
+        raise ParameterError(f"need at least one step, got {n_steps}")
+    if not a > 1.0:
+        raise ParameterError("stretch parameter must satisfy a > 1")
+
+
 def ensemble_sample(
     log_post,
     lower,
@@ -329,14 +339,13 @@ def ensemble_sample(
     every sample stays inside the support.  Deterministic for a fixed seed.
     A run whose acceptance rate is below ``LOW_ACCEPTANCE`` warns once, at
     the end, with the rate and the number of sweeps that accepted nothing.
+    Fewer than ``2 * ndim`` walkers, fewer than one step or ``a <= 1`` raise
+    ParameterError.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     ndim = lower.size
-    if n_walkers < 2 * ndim:
-        raise ParameterError(f"need at least {2 * ndim} walkers for {ndim} parameters")
-    if not a > 1.0:
-        raise ParameterError("stretch parameter must satisfy a > 1")
+    _check_sampler_settings(ndim, n_walkers, n_steps, a)
     rng = np.random.default_rng(seed)
     x = rng.uniform(lower, upper, size=(n_walkers, ndim)) if initial is None else np.array(initial, dtype=float)
     lp = np.array([log_post(xi) for xi in x])
@@ -397,7 +406,11 @@ class HierarchicalResult:
     means: np.ndarray  # (n_ok, n_p) inner posterior means
     stds: np.ndarray  # (n_ok, n_p) inner posterior standard deviations
     pooled: np.ndarray  # merged posterior sample over all inner chains
-    n_failed: int
+    failures: list  # (draw index, exception text) of each failed chain, in draw order
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
     def pooled_mean(self) -> np.ndarray:
         return self.pooled.mean(axis=0)
@@ -437,9 +450,19 @@ def hierarchical_two_step_bayes(
     For each of ``n_outer`` draws from the elastic posterior sample, runs an
     inner ensemble chain over the plastic parameters (``make_log_post``
     returns the conditional log posterior for a given elastic draw).  Failed
-    inner chains are skipped and counted.  RNG streams are spawned
-    deterministically per task, so results do not depend on ``jobs``.
+    inner chains are skipped; ``failures`` keeps each one's draw index and
+    exception text.  RNG streams are spawned deterministically per task, so
+    results, failures included, do not depend on ``jobs``.  The chains run on
+    ``min(jobs, n_outer)`` worker processes, or in this process when that is
+    1.  ``n_outer`` and ``jobs`` below 1, and sampler settings that
+    :func:`ensemble_sample` rejects, raise ParameterError before any chain
+    runs.
     """
+    if n_outer < 1:
+        raise ParameterError(f"need at least one outer draw, got n_outer={n_outer}")
+    if jobs < 1:
+        raise ParameterError(f"need at least one job, got jobs={jobs}")
+    _check_sampler_settings(np.size(lower), n_walkers, n_steps, a)
     elastic_samples = np.atleast_2d(np.asarray(elastic_samples, dtype=float))
     ss = np.random.SeedSequence(seed)
     seeds = ss.spawn(n_outer + 1)
@@ -451,18 +474,19 @@ def hierarchical_two_step_bayes(
          n_walkers, n_steps, a, seeds[i + 1])
         for i in range(n_outer)
     ]
-    if jobs > 1:
+    workers = min(jobs, n_outer)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_inner_chain, tasks))
     else:
         outcomes = [_run_inner_chain(t) for t in tasks]
     means, stds, pools = [], [], []
-    n_failed = 0
-    for t, (res, err) in zip(tasks, outcomes):
+    failures = []
+    for i, (t, (res, err)) in enumerate(zip(tasks, outcomes)):
         if res is None:
-            n_failed += 1
+            failures.append((i, err))
             warnings.warn(f"inner chain failed for draw {t[1]}: {err}", stacklevel=2)
             continue
         mean, std, post = res
@@ -474,5 +498,5 @@ def hierarchical_two_step_bayes(
         means=np.array(means),
         stds=np.array(stds),
         pooled=np.concatenate(pools) if pools else np.empty((0, len(lower))),
-        n_failed=n_failed,
+        failures=failures,
     )

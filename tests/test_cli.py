@@ -233,6 +233,39 @@ class TestUq:
         assert means[0] == "draw,k,b,c"
         assert len(means) == 1 + 3
 
+    def test_hierarchical_jobs_above_draws_match_one_job(self, tmp_path, monkeypatch):
+        # --jobs 3 at n_outer = 2 runs two worker processes and writes the
+        # bytes that the in-process run writes.  One config with relative
+        # output paths, run in two directories, keeps the config hash equal.
+        names = ("means.csv", "stds.csv", "uq.txt")
+        cfg = write_config(tmp_path, "uqh.cfg", seed=0, n_outer=2, walkers=8, steps=10,
+                           means_out=names[0], stds_out=names[1], report_out=names[2])
+        outputs = []
+        for jobs in ("1", "3"):
+            (tmp_path / jobs).mkdir()
+            monkeypatch.chdir(tmp_path / jobs)
+            assert main(["uq", "-c", cfg, "--method", "hierarchical", "--jobs", jobs]) == 0
+            outputs.append([(tmp_path / jobs / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("method, keys, flags, message", [
+        ("hierarchical", dict(n_outer=0), [], "need at least one outer draw, got n_outer=0"),
+        ("hierarchical", dict(steps=0), [], "need at least one step, got 0"),
+        ("hierarchical", {}, ["--jobs", "0"], "need at least one job, got jobs=0"),
+        ("hierarchical", {}, ["--jobs", "-3"], "need at least one job, got jobs=-3"),
+        ("bayes", dict(steps=0), [], "need at least one step, got 0"),
+    ], ids=["n_outer=0", "steps=0", "jobs=0", "jobs=-3", "bayes-steps=0"])
+    def test_empty_sampler_run_exits_2(self, workdir, generated, capsys,
+                                       method, keys, flags, message):
+        cfg = write_config(
+            workdir, "uq_empty.cfg", **(dict(
+                seed=0, n_outer=2, walkers=8, steps=10,
+                mesh_file=str(workdir / "plate.mesh"), data=str(workdir / "data.csv"),
+                sigma_e=2e-4, report_out=str(workdir / "uq_empty.txt")) | keys),
+        )
+        assert main(["uq", "-c", cfg, "--method", method, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_data_artifact_exits_2(self, workdir, capsys):
         cfg = write_config(
             workdir, "uqm.cfg",

@@ -31,6 +31,7 @@ from calibrix.materials import (
     uniaxial_plastic_driver,
     write_parameter_file,
 )
+from oracle_corrector import solve_plastic_multiplier as oracle_multiplier
 from oracle_plasticity import explicit_path_reference, uniaxial_explicit_reference
 
 STEEL = dict(K=150991.0, G=79321.0)
@@ -331,15 +332,18 @@ class TestUniaxialStep:
         e_ax = e_lat + d
         state = MaterialState(np.diag([ev[0], ev[1], ev[1]]), np.diag([x[0], x[1], x[1]]), arc)
         scalars = (ev[0], ev[1], x[0], x[1], arc)
+        xd = materials._diag(x[0], x[1])
+        backstress = (xd, float(xd.dot(xd)))
         try:
             new, sig = integrate_viscoplastic_step(
                 state, np.diag([e_ax, e_lat, e_lat]), dt, ep, pp)
         except IntegrationError as exc:
             with pytest.raises(IntegrationError, match=re.escape(str(exc))):
-                materials._uniaxial_step(scalars, e_ax, e_lat, dt, ep.bulk, ep.shear, pp)
+                materials._uniaxial_step(scalars, e_ax, e_lat, dt, ep.bulk, ep.shear, pp,
+                                         *backstress)
             return
         got, sig_ax, sig_lat = materials._uniaxial_step(
-            scalars, e_ax, e_lat, dt, ep.bulk, ep.shear, pp)
+            scalars, e_ax, e_lat, dt, ep.bulk, ep.shear, pp, *backstress)
 
         ev_ax, ev_lat, x_ax, x_lat, s = got
         assert np.array_equal(
@@ -436,6 +440,70 @@ class TestMultiplierOnFloats:
             assert got == 0.0
 
 
+class TestCorrectorMatchesOracle:
+    """The flat corrector against the closure-based corrector it replaced
+    (``tests/oracle_corrector.py``): the same bits, or the same error type and
+    message, in the branches of :class:`TestMultiplierOnFloats` and for
+    overstress exponents 5-40, where viscous steps fail to converge."""
+
+    BRANCHES = {**TestMultiplierOnFloats.BRANCHES,
+                "stiff-viscous": ((20.0, 200.0), (1e-3, 10.0), (5.0, 40.0))}
+
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           a_ax=signed_floats(1e3, 2e4),
+           x=st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+           b=st.floats(0.0, 200.0),
+           c=st.floats(0.0, 2e4),
+           dt=st.floats(1e-3, 2.0))
+    def test_bit_identical_to_closure_oracle(self, branch, data, a_ax, x, b, c, dt):
+        (k_lo, k_hi), (eta_lo, eta_hi), (r_lo, r_hi) = self.BRANCHES[branch]
+        pp = PlasticParams(k=data.draw(st.floats(k_lo, k_hi)), b=b, c=c,
+                           eta=data.draw(st.floats(eta_lo, eta_hi)),
+                           r=data.draw(st.floats(r_lo, r_hi)))
+        a, xd = materials._diag(a_ax, -0.5 * a_ax), materials._diag(*x)
+        args = (float(a.dot(a)), float(a.dot(xd)), float(xd.dot(xd)),
+                steel_elastic().shear, pp, dt)
+        try:
+            expected = oracle_multiplier(*args)
+        except IntegrationError as exc:
+            with pytest.raises(IntegrationError) as info:
+                materials._solve_plastic_multiplier(*args)
+            assert str(info.value) == str(exc)
+            return
+        got = materials._solve_plastic_multiplier(*args)
+        assert type(got) is float
+        assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(E=st.floats(1e4, 3e5), nu=st.floats(0.0, 0.45),
+           k=st.floats(20.0, 300.0), b=st.floats(0.0, 200.0), c=st.floats(0.0, 2e4),
+           eta=st.just(0.0) | st.floats(1e-3, 10.0), r=st.floats(1.0, 3.0),
+           amp=st.floats(0.002, 0.05), cycles=st.floats(0.25, 2.0),
+           dt=st.floats(1e-3, 1.0))
+    def test_driver_bit_identical_with_closure_oracle(self, E, nu, k, b, c, eta, r, amp,
+                                                      cycles, dt):
+        # A cyclic curve runs the corrector many times from evolving states,
+        # where a change in the last bit of one Newton iterate shows.
+        eps = amp * np.sin(np.linspace(0.0, 2.0 * np.pi * cycles, 31))
+        ep = ElasticParams(E=E, nu=nu)
+        pp = PlasticParams(k=k, b=b, c=c, eta=eta, r=r)
+
+        def run():
+            try:
+                sigma, lat, state = uniaxial_plastic_driver(eps, dt, ep, pp)
+            except (DriverError, IntegrationError) as exc:
+                return type(exc), str(exc)
+            return [a.tobytes() for a in (sigma, lat, state.viscous_strain, state.backstress,
+                                          np.array(state.arc_length))]
+
+        got = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(materials, "_solve_plastic_multiplier", oracle_multiplier)
+            assert got == run()
+
+
 # ---------------------------------------------------------------------------
 # Uniaxial driver
 # ---------------------------------------------------------------------------
@@ -495,9 +563,9 @@ class TestUniaxialDriver:
         step = materials._uniaxial_step
         seen = []
 
-        def counting(state, e_ax, e_lat, dt, K, G, pp_):
+        def counting(state, e_ax, e_lat, *args):
             seen.append((state, e_ax, e_lat))
-            return step(state, e_ax, e_lat, dt, K, G, pp_)
+            return step(state, e_ax, e_lat, *args)
 
         monkeypatch.setattr(materials, "_uniaxial_step", counting)
         sigma, lat, state = uniaxial_plastic_driver(eps, 0.1, ep, pp)
@@ -554,6 +622,24 @@ class TestUniaxialDriver:
                 "plastic corrector did not converge in 50 iterations (residual -2.736e+280)")):
             uniaxial_plastic_driver(np.linspace(0.0, 0.05, 21), 0.1,
                                     ElasticParams(E=210000.0, nu=0.3), pp)
+
+    @pytest.mark.parametrize("r, residual", [
+        (5.0, "-2.506e+01"), (10.0, "-1.103e+25"), (20.0, "-1.719e+70"), (40.0, "-5.616e+159"),
+    ])
+    def test_high_overstress_exponent_does_not_converge(self, monkeypatch, r, residual):
+        # Pinned known defect: f/SIGMA_0 is in (N/mm^2)^2, so over**r spans
+        # hundreds of decades for r >= 5 and the corrector cannot bring the
+        # viscous residual under 1e-10.  Mending it changes the model.  The
+        # closure-based oracle corrector fails with the same message.
+        pp = PlasticParams(k=100.0, b=5.0, c=500.0, eta=1e-3, r=r)
+        args = (np.linspace(0.0, 0.05, 21), 0.1, ElasticParams(E=210000.0, nu=0.3), pp)
+        message = re.escape(
+            f"plastic corrector did not converge in 50 iterations (residual {residual})")
+        with pytest.raises(IntegrationError, match=message):
+            uniaxial_plastic_driver(*args)
+        monkeypatch.setattr(materials, "_solve_plastic_multiplier", oracle_multiplier)
+        with pytest.raises(IntegrationError, match=message):
+            uniaxial_plastic_driver(*args)
 
     def test_history_must_start_at_zero(self):
         ep = steel_elastic()

@@ -1,5 +1,6 @@
 """Tests for the statistical layer."""
 
+import re
 import warnings
 
 import numpy as np
@@ -295,6 +296,9 @@ class TestEnsembleSampler:
             ensemble_sample(lambda x: 0.0, np.zeros(2), np.ones(2), 3, 10)
         with pytest.raises(ParameterError):
             ensemble_sample(lambda x: 0.0, np.zeros(1), np.ones(1), 4, 10, a=1.0)
+        for n_steps in (0, -1):
+            with pytest.raises(ParameterError, match=f"need at least one step, got {n_steps}"):
+                ensemble_sample(lambda x: 0.0, np.zeros(1), np.ones(1), 4, n_steps)
 
 
 class TestBernsteinVonMises:
@@ -368,6 +372,25 @@ class _FailingConditional(_GaussianConditional):
             raise NumericalError(f"no log posterior at kappa_p = {kappa_p[0]:.3f}")
 
         return failing
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs the
+    tasks in this process, so no test starts the processes it asks for."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
 
 
 class TestHierarchicalBayes:
@@ -452,9 +475,53 @@ class TestHierarchicalBayes:
         assert 0 < seq.n_failed < 5
         assert par.n_failed == seq.n_failed == len(messages[0])
         assert messages[0] == messages[1]
+        # The result keeps each failed draw's index and exception text, in draw order.
+        assert seq.failures == par.failures
+        assert [i for i, _ in seq.failures] == [
+            i for i in range(5) if np.array_equal(seq.kappa_e_draws[i], chain_e[1])]
+        assert all(text.startswith("no log posterior at kappa_p = ")
+                   for _, text in seq.failures)
         assert np.array_equal(seq.means, par.means)
         assert np.array_equal(seq.stds, par.stds)
         assert np.array_equal(seq.pooled, par.pooled)
+
+    @pytest.mark.parametrize("jobs, n_outer, workers", [(64, 2, [2]), (3, 5, [3]),
+                                                        (4, 1, []), (1, 3, [])])
+    def test_worker_pool_is_bounded_by_draws(self, monkeypatch, jobs, n_outer, workers):
+        import concurrent.futures
+
+        lower, upper = np.array([-3.0, -3.0]), np.array([3.0, 3.0])
+        target = _GaussianConditional(np.zeros(2), np.eye(2), 0.5)
+        chain_e = np.array([[0.0, 0.0], [1.0, 0.5]])
+        serial = hierarchical_two_step_bayes(chain_e, target, lower, upper, n_outer=n_outer,
+                                             n_walkers=4, n_steps=5, seed=3)
+        monkeypatch.setattr(_RecordingExecutor, "made", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+        out = hierarchical_two_step_bayes(chain_e, target, lower, upper, n_outer=n_outer,
+                                          n_walkers=4, n_steps=5, seed=3, jobs=jobs)
+        assert _RecordingExecutor.made == workers
+        assert np.array_equal(out.pooled, serial.pooled)
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(n_outer=0), "need at least one outer draw, got n_outer=0"),
+        (dict(jobs=0), "need at least one job, got jobs=0"),
+        (dict(jobs=-3), "need at least one job, got jobs=-3"),
+        (dict(n_steps=0), "need at least one step, got 0"),
+        (dict(n_steps=-1), "need at least one step, got -1"),
+        (dict(n_walkers=3), "need at least 4 walkers for 2 parameters"),
+    ], ids=["n_outer=0", "jobs=0", "jobs=-3", "n_steps=0", "n_steps=-1", "n_walkers=3"])
+    def test_invalid_settings_raise_before_any_chain(self, settings, message):
+        calls = []
+
+        def make_log_post(kappa_e):
+            calls.append(kappa_e)
+            return lambda kappa_p: 0.0
+
+        kwargs = dict(n_outer=2, n_walkers=4, n_steps=5, seed=3, jobs=1) | settings
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            hierarchical_two_step_bayes(np.zeros((2, 2)), make_log_post, np.zeros(2),
+                                        np.ones(2), **kwargs)
+        assert calls == []
 
     def test_spread_grows_with_elastic_uncertainty(self):
         # Controlled inflation: the conditional center moves linearly with the
