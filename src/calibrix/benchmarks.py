@@ -124,9 +124,12 @@ def plate_forward_model(case: PlateCase) -> ForwardModel:
     measurement nodes, then the u2 block.
     """
 
+    n_dofs = case.coarse.n_dofs
+    # Positions of the u1 components, then of the u2 components.
+    layout = np.concatenate([np.arange(0, n_dofs, 2), np.arange(1, n_dofs, 2)])
+
     def simulate(kappa):
-        full = plate_displacements(case, kappa[0], kappa[1])
-        return np.concatenate([full[0::2], full[1::2]])
+        return plate_displacements(case, kappa[0], kappa[1])[layout]
 
     return ForwardModel(
         simulate=simulate,

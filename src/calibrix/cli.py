@@ -1,9 +1,10 @@
 """Command-line interface: data generation, calibration, UQ, and reports.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical non-convergence
-(the best iterate is still written).  Data that leave the parameters
-unidentifiable (IdentifiabilityError) also exit 2: the problem as configured
-is ill-posed, which no solver setting can mend.
+(the best iterate is still written).  ``uq --method hierarchical`` also
+exits 3, and writes no report, when every inner chain fails.  Data that leave
+the parameters unidentifiable (IdentifiabilityError) also exit 2: the problem
+as configured is ill-posed, which no solver setting can mend.
 
 Only the plate commands import the sparse finite-element stack, so
 ``uq --method two-step``, ``uq --method hierarchical``, ``report`` and

@@ -46,7 +46,7 @@ class IdentifiabilityError(CalibrixError):
 
 
 class DivergenceError(CalibrixError):
-    """Iterative solver produced a non-finite iterate."""
+    """Iterative solver produced a non-finite iterate, or no sampler chain finished."""
 
 
 class NumericalError(CalibrixError):

@@ -362,8 +362,11 @@ def _factor_solve(K: sp.csc_matrix, rhs: np.ndarray, permc_spec: str = "COLAMD")
     """
     lu = _factor(K, permc_spec)
     x = lu.solve(rhs)
-    scale = np.linalg.norm(rhs)
-    resid = np.linalg.norm(K @ x - rhs)
+    # The ddot and sqrt that np.linalg.norm runs on a vector, without its
+    # dispatch overhead.
+    scale = math.sqrt(rhs @ rhs)
+    r = K @ x - rhs
+    resid = math.sqrt(r @ r)
     if not np.all(np.isfinite(x)) or (scale > 0 and resid > 1e-8 * scale):
         raise SolverError(
             f"linear solve inaccurate (relative residual {resid / max(scale, 1e-300):.3e}); "
@@ -488,12 +491,16 @@ def _shared_pattern(x: sp.csr_matrix, y: sp.csr_matrix) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _SolvePattern:
-    """K(kappa)[:, order] in CSC form: its pattern and the two blocks' data."""
+    """The containers K(kappa)[:, order] (CSC) and Kbar(kappa) (CSR) that
+    ``StiffnessDecomposition.solve`` refills, and the two blocks' data in each
+    container's layout.  The containers own their data arrays, so refilling
+    them changes no block."""
 
     order: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: tuple
+    K: sp.csc_matrix
+    k_data: tuple
+    Kbar: sp.csr_matrix
+    kbar_data: tuple
 
     @classmethod
     def from_blocks(cls, a: PartitionedStiffness, b: PartitionedStiffness) -> "_SolvePattern":
@@ -508,11 +515,19 @@ class _SolvePattern:
             (np.arange(1.0, a.K.nnz + 1.0), a.K.indices, a.K.indptr), shape=a.K.shape
         ).tocsc()[:, order]
         to_csc = index.data.astype(np.int64) - 1
+        K = sp.csc_matrix(
+            (np.empty(a.K.nnz), index.indices.astype(np.intc), index.indptr.astype(np.intc)),
+            shape=a.K.shape,
+        )
+        Kbar = sp.csr_matrix(
+            (np.empty(a.Kbar.nnz), a.Kbar.indices, a.Kbar.indptr), shape=a.Kbar.shape
+        )
         return cls(
             order=order,
-            indptr=index.indptr.astype(np.intc),
-            indices=index.indices.astype(np.intc),
-            data=(a.K.data[to_csc], b.K.data[to_csc]),
+            K=K,
+            k_data=(a.K.data[to_csc], b.K.data[to_csc]),
+            Kbar=Kbar,
+            kbar_data=(a.Kbar.data, b.Kbar.data),
         )
 
 
@@ -524,10 +539,17 @@ class StiffnessDecomposition:
     repeated solves and the equilibrium-map columns cost only sparse
     combinations.  ``solve`` caches on first use what no kappa changes: the
     CSC pattern that K_a and K_b share, with the COLAMD column order of one
-    SuperLU factorization folded in, and both blocks' data in that layout.
-    Each call forms the data of K(kappa)[:, order] and of Kbar(kappa) (on the
-    CSR pattern Kbar_a and Kbar_b share) and factors K in that column order,
-    permuting no rows.  The result equals
+    SuperLU factorization folded in, both blocks' data in that layout, and
+    two sparse containers, one for K(kappa)[:, order] and one for Kbar(kappa)
+    (on the CSR pattern Kbar_a and Kbar_b share).  Each call refills the data
+    of both containers and factors K in that column order, permuting no rows.
+    Factors returned by an earlier call stay valid, since SuperLU keeps its
+    own copy of the matrix.  Because the containers are shared state, one
+    instance must not be used by several threads at once; worker processes
+    each hold their own copy.
+
+    ``stiffness`` is the reference that ``solve`` is held to: the result
+    equals
     ``splu(stiffness(kappa).K.tocsc()).solve(pbar - stiffness(kappa).Kbar @ ubar)``
     bit for bit unless an entry of K(kappa) or Kbar(kappa) cancels to exactly
     0: scipy's sparse ``+`` drops such an entry, the cached pattern keeps it.
@@ -543,6 +565,11 @@ class StiffnessDecomposition:
         return cls(mesh=mesh, part=part, blocks=blocks)
 
     def stiffness(self, kappa) -> PartitionedStiffness:
+        """The three blocks at kappa, each formed by scipy's sparse arithmetic.
+
+        Independent of the containers ``solve`` refills; use it where the
+        blocks themselves are needed, or as the reference for ``solve``.
+        """
         a, b = self.blocks
         return PartitionedStiffness(
             K=(kappa[0] * a.K + kappa[1] * b.K).tocsr(),
@@ -566,17 +593,11 @@ class StiffnessDecomposition:
         K(kappa)^T x = r is ``lu.solve(r[column_order], trans="T")``.  Raises
         SolverError with a condition estimate like ``solve_linear``.
         """
-        a, b = self.blocks
-        kbar = sp.csr_matrix(
-            (kappa[0] * a.Kbar.data + kappa[1] * b.Kbar.data, a.Kbar.indices, a.Kbar.indptr),
-            shape=a.Kbar.shape,
-        )
-        rhs = np.asarray(pbar, dtype=float) - kbar @ np.asarray(ubar, dtype=float)
         c = self._pattern
-        K = sp.csc_matrix(
-            (kappa[0] * c.data[0] + kappa[1] * c.data[1], c.indices, c.indptr), shape=a.K.shape
-        )
-        y, lu = _factor_solve(K, rhs, permc_spec="NATURAL")
+        c.Kbar.data[:] = kappa[0] * c.kbar_data[0] + kappa[1] * c.kbar_data[1]
+        rhs = np.asarray(pbar, dtype=float) - c.Kbar @ np.asarray(ubar, dtype=float)
+        c.K.data[:] = kappa[0] * c.k_data[0] + kappa[1] * c.k_data[1]
+        y, lu = _factor_solve(c.K, rhs, permc_spec="NATURAL")
         u = np.empty_like(y)
         u[c.order] = y
         return u, lu

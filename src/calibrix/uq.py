@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentifiabilityError, NumericalError, ParameterError
+from .errors import DivergenceError, IdentifiabilityError, NumericalError, ParameterError
 from .identify_reduced import ForwardModel, data_vectors, default_nd_steps
 
 _Z_TABLE = {0.95: 1.96, 0.68: 1.0}
@@ -451,11 +451,12 @@ def hierarchical_two_step_bayes(
     inner ensemble chain over the plastic parameters (``make_log_post``
     returns the conditional log posterior for a given elastic draw).  Failed
     inner chains are skipped; ``failures`` keeps each one's draw index and
-    exception text.  RNG streams are spawned deterministically per task, so
-    results, failures included, do not depend on ``jobs``.  The chains run on
-    ``min(jobs, n_outer)`` worker processes, or in this process when that is
-    1.  ``n_outer`` and ``jobs`` below 1, and sampler settings that
-    :func:`ensemble_sample` rejects, raise ParameterError before any chain
+    exception text; when every chain fails, DivergenceError names the count
+    and the first failure.  RNG streams are spawned deterministically per
+    task, so results, failures included, do not depend on ``jobs``.  The
+    chains run on ``min(jobs, n_outer)`` worker processes, or in this process
+    when that is 1.  ``n_outer`` and ``jobs`` below 1, and sampler settings
+    that :func:`ensemble_sample` rejects, raise ParameterError before any chain
     runs.
     """
     if n_outer < 1:
@@ -493,10 +494,15 @@ def hierarchical_two_step_bayes(
         means.append(mean)
         stds.append(std)
         pools.append(post)
+    if not pools:
+        first, text = failures[0]
+        raise DivergenceError(
+            f"all {len(failures)} inner chains failed; the first, at draw {first}: {text}"
+        )
     return HierarchicalResult(
         kappa_e_draws=draws,
         means=np.array(means),
         stds=np.array(stds),
-        pooled=np.concatenate(pools) if pools else np.empty((0, len(lower))),
+        pooled=np.concatenate(pools),
         failures=failures,
     )

@@ -248,6 +248,26 @@ class TestUq:
             outputs.append([(tmp_path / jobs / name).read_bytes() for name in names])
         assert outputs[0] == outputs[1]
 
+    def test_hierarchical_all_chains_failed_exits_3(self, tmp_path, monkeypatch, capsys):
+        import calibrix.benchmarks as benchmarks
+        from calibrix.errors import NumericalError
+
+        def no_posterior(self, kappa_e):
+            raise NumericalError("no conditional posterior")
+
+        monkeypatch.setattr(benchmarks.PlasticLogPosterior, "__call__", no_posterior)
+        cfg = write_config(
+            tmp_path, "uqh.cfg", seed=0, n_outer=2, walkers=8, steps=10,
+            means_out=str(tmp_path / "means.csv"), stds_out=str(tmp_path / "stds.csv"),
+            report_out=str(tmp_path / "uq.txt"),
+        )
+        with pytest.warns(UserWarning, match="inner chain failed"):
+            assert main(["uq", "-c", cfg, "--method", "hierarchical"]) == 3
+        assert capsys.readouterr().err == (
+            "error: all 2 inner chains failed; the first, at draw 0: "
+            "no conditional posterior\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["uqh.cfg"]
+
     @pytest.mark.parametrize("method, keys, flags, message", [
         ("hierarchical", dict(n_outer=0), [], "need at least one outer draw, got n_outer=0"),
         ("hierarchical", dict(steps=0), [], "need at least one step, got 0"),

@@ -143,6 +143,46 @@ class TestSolveNls:
         assert result.kappa[0] == 0.5
 
 
+class TestTracerContract:
+    """The call points that an outside tracer wraps: one module-level
+    ``plate_displacements`` and one ``scipy.sparse.linalg.splu`` call per
+    plate forward evaluation, and ``n_evals`` counting those evaluations."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_solve_and_one_factorization_per_evaluation(self, monkeypatch, plate_small):
+        import calibrix.benchmarks as benchmarks
+
+        model = plate_forward_model(plate_small)
+        model(KAPPA_TRUE)  # set-up: the cached pattern and column order
+        forward = self._count(monkeypatch, benchmarks, "plate_displacements")
+        factor = self._count(monkeypatch, spla, "splu")
+        for n, E in enumerate((190000.0, 200000.0, 220000.0), start=1):
+            model(np.array([E, 0.28]))
+            assert (len(forward), len(factor)) == (n, n)
+
+    def test_solve_nls_counts_every_forward_evaluation(self, monkeypatch, plate_small,
+                                                        plate_small_noisy):
+        import calibrix.benchmarks as benchmarks
+
+        model = plate_forward_model(plate_small)
+        model(KAPPA_TRUE)
+        forward = self._count(monkeypatch, benchmarks, "plate_displacements")
+        factor = self._count(monkeypatch, spla, "splu")
+        result = solve_nls(model, plate_small_noisy, np.array([180000.0, 0.35]))
+        assert result.n_evals == len(forward) == len(factor) > 0
+
+
 class TestLandweberReduced:
     def test_immediate_stop_at_solution(self, plate_small, plate_small_matched):
         model = plate_forward_model(plate_small)

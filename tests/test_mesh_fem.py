@@ -304,6 +304,67 @@ class TestDecompositionSolve:
             u, _ = decomp.solve(kappa, pbar, ubar)
             assert np.array_equal(u.view(np.int64), oracle.view(np.int64)), (i, kappa)
 
+    def test_earlier_factors_survive_later_solves(self, plate):
+        # solve refills one cached container per call; the factors it returned
+        # before must still solve their own system, bit for bit.
+        mesh, part = plate
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        pbar = applied_forces(mesh, part)
+        ubar = np.random.default_rng(4).uniform(-1e-3, 1e-3, part.n_prescribed)
+        kappas = _plate_bayes_kappas(6, seed=13)
+        kept = []
+        for kappa in kappas:
+            u, lu = decomp.solve(kappa, pbar, ubar)
+            kept.append((kappa, u, lu))
+        order = decomp.column_order
+        for kappa, u, lu in kept:
+            stiff = decomp.stiffness(kappa)
+            again = np.empty_like(u)
+            again[order] = lu.solve(pbar - stiff.Kbar @ ubar)
+            assert np.array_equal(again.view(np.int64), u.view(np.int64)), kappa
+            oracle = spla.splu(stiff.K.tocsc()).solve(pbar - stiff.Kbar @ ubar)
+            assert np.array_equal(u.view(np.int64), oracle.view(np.int64)), kappa
+
+    @pytest.mark.parametrize("kappa, match", [
+        (np.zeros(2), "sparse factorization failed"),
+        (np.ones(2), "linear solve inaccurate"),
+    ], ids=["kappa=0", "C11=C12"])
+    def test_errors_unchanged_after_a_successful_solve(self, plate, kappa, match):
+        mesh, part = plate
+        pbar = applied_forces(mesh, part)
+        ubar = prescribed_values(mesh, part)
+        messages = []
+        for warm in (False, True):
+            decomp = StiffnessDecomposition.from_mesh(mesh, part)
+            if warm:
+                decomp.solve(KAPPA_STEEL, pbar, ubar)
+            with pytest.raises(SolverError, match=match) as info:
+                decomp.solve(kappa, pbar, ubar)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        # The failed call leaves nothing behind that a later solve would see.
+        stiff = decomp.stiffness(KAPPA_STEEL)
+        oracle = spla.splu(stiff.K.tocsc()).solve(pbar - stiff.Kbar @ ubar)
+        u, _ = decomp.solve(KAPPA_STEEL, pbar, ubar)
+        assert np.array_equal(u.view(np.int64), oracle.view(np.int64))
+
+    def test_alternating_prescribed_displacements_match_fresh_factorization(self, plate):
+        # Each kappa is solved with a non-zero ubar and with the plate's own
+        # ubar = 0 in turn; the oracles are formed only after every solve, so
+        # no container state left by one draw can leak into the next.
+        mesh, part = plate
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        pbar = applied_forces(mesh, part)
+        ubars = (np.random.default_rng(6).uniform(-1e-3, 1e-3, part.n_prescribed),
+                 prescribed_values(mesh, part))
+        assert not np.any(ubars[1])
+        runs = [(kappa, ubar, decomp.solve(kappa, pbar, ubar)[0])
+                for kappa in _plate_bayes_kappas(10, seed=17) for ubar in ubars]
+        for kappa, ubar, u in runs:
+            stiff = decomp.stiffness(kappa)
+            oracle = spla.splu(stiff.K.tocsc()).solve(pbar - stiff.Kbar @ ubar)
+            assert np.array_equal(u.view(np.int64), oracle.view(np.int64)), kappa
+
     def test_transposed_solve_reuses_factors(self, plate):
         mesh, part = plate
         decomp = StiffnessDecomposition.from_mesh(mesh, part)

@@ -17,7 +17,7 @@ from calibrix.benchmarks import (
     two_step_identify,
     uniaxial_response,
 )
-from calibrix.errors import NumericalError, ParameterError
+from calibrix.errors import DivergenceError, NumericalError, ParameterError
 from calibrix.identify_reduced import ForwardModel, jacobian_external_nd, solve_nls
 from calibrix.uq import (
     covariance_and_ci,
@@ -484,6 +484,23 @@ class TestHierarchicalBayes:
         assert np.array_equal(seq.means, par.means)
         assert np.array_equal(seq.stds, par.stds)
         assert np.array_equal(seq.pooled, par.pooled)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_all_chains_failed_raises_divergence(self, jobs):
+        # Every elastic draw is the failing one, so no chain finishes: the run
+        # raises instead of returning an empty pooled sample (a nan estimate).
+        lower = np.array([-3.0, -3.0])
+        upper = np.array([3.0, 3.0])
+        bad = np.array([1.0, 0.5])
+        target = _FailingConditional(bad, np.zeros(2), np.eye(2), 0.5)
+        with pytest.warns(UserWarning, match="inner chain failed") as record:
+            with pytest.raises(DivergenceError) as info:
+                hierarchical_two_step_bayes(np.tile(bad, (3, 1)), target, lower, upper,
+                                            n_outer=4, n_walkers=6, n_steps=5, seed=3,
+                                            jobs=jobs)
+        assert re.fullmatch(r"all 4 inner chains failed; the first, at draw 0: "
+                            r"no log posterior at kappa_p = -?\d+\.\d{3}", str(info.value))
+        assert sum("inner chain failed" in str(w.message) for w in record) == 4
 
     @pytest.mark.parametrize("jobs, n_outer, workers", [(64, 2, [2]), (3, 5, [3]),
                                                         (4, 1, []), (1, 3, [])])
