@@ -6,8 +6,9 @@ plasticity: elastic moduli from the small-strain response, then the yield and
 kinematic-hardening parameters from the elasto-plastic stress curve, with the
 elastic uncertainty carried into the second step.
 
-The plate functions import the sparse finite-element stack where they need
-it, so the two-step case loads numpy only.
+The plate functions take a PlateCase that the caller builds, and the module
+imports the sparse finite-element stack for type checking only, so the
+two-step case loads numpy only.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .materials import (
     ElasticParams,
     PlasticParams,
     c_coords_from_E_nu,
+    convert_E_nu_to_K_G,
     convert_K_G_to_E_nu,
     uniaxial_plastic_driver,
 )
@@ -35,11 +37,6 @@ from .uq import monte_carlo_convert, two_step_covariance
 if TYPE_CHECKING:
     from .mesh_fem import DofPartition, Mesh, StiffnessDecomposition
     from .synthetic_data import ObservationSet
-
-E_TRUE = 210000.0
-NU_TRUE = 0.3
-LOAD = 1500.0
-SIGMA_R = 1e4
 
 # Ground truth of the synthetic two-step benchmark (N/mm^2 where dimensional).
 TWOSTEP_TRUTH = {"K": 150991.0, "G": 79321.0, "k": 282.6, "b": 41.04, "c": 3499.8}
@@ -52,62 +49,14 @@ TWOSTEP_TRUTH = {"K": 150991.0, "G": 79321.0, "k": 282.6, "b": 41.04, "c": 3499.
 
 @dataclass(eq=False)
 class PlateCase:
+    """Identification mesh with its partition, stiffness decomposition, applied
+    forces and prescribed displacements."""
+
     coarse: Mesh
-    fine: Mesh
     part: DofPartition
     decomp: StiffnessDecomposition
     pbar: np.ndarray
     ubar: np.ndarray
-    load: float
-
-
-def make_plate_case(
-    n_c: int = 12,
-    n_r: int = 10,
-    fine_factor: int = 2,
-    radius: float = 3.0,
-    width: float = 10.0,
-    height: float = 10.0,
-    thickness: float = 1.0,
-    load: float = LOAD,
-    grading: float = 1.5,
-    fine_grading: float = 1.3,
-) -> PlateCase:
-    """Identification mesh plus a finer, non-nested data-generation mesh.
-
-    The fine mesh refines the circumferential direction by ``fine_factor``
-    and uses a different radial grading, so interior measurement nodes are
-    genuinely interpolated (boundary nodes coincide by construction).
-    """
-    from .mesh_fem import DofPartition, StiffnessDecomposition, applied_forces, prescribed_values
-    from .meshes import quarter_plate_mesh
-
-    coarse = quarter_plate_mesh(n_c, n_r, radius, width, height, thickness, load, grading)
-    fine = quarter_plate_mesh(
-        fine_factor * n_c, fine_factor * n_r + 3, radius, width, height,
-        thickness, load, fine_grading,
-    )
-    part = DofPartition.from_mesh(coarse)
-    decomp = StiffnessDecomposition.from_mesh(coarse, part)
-    return PlateCase(
-        coarse=coarse,
-        fine=fine,
-        part=part,
-        decomp=decomp,
-        pbar=applied_forces(coarse, part),
-        ubar=prescribed_values(coarse, part),
-        load=load,
-    )
-
-
-def plate_observations(case: PlateCase, sigma: float, seed: int,
-                       E: float = E_TRUE, nu: float = NU_TRUE,
-                       matched: bool = False) -> ObservationSet:
-    """Synthetic observations; ``matched`` solves on the identification mesh."""
-    from .synthetic_data import generate_plate_data
-
-    source = case.coarse if matched else case.fine
-    return generate_plate_data(source, case.coarse, (E, nu), case.load, sigma, seed)
 
 
 def plate_displacements(case: PlateCase, E: float, nu: float) -> np.ndarray:
@@ -251,15 +200,12 @@ def convert_elastic(result_E: CalibrationResult, result_nu: CalibrationResult,
     nu, dnu = float(result_nu.kappa[0]), float(result_nu.std[0])
     mc = monte_carlo_convert(E, dE, nu, dnu, n=n, seed=seed)
     h = np.array([1e-6 * abs(E), 1e-8])
+    K0, G0 = convert_E_nu_to_K_G(E, nu)
     D = np.empty((2, 2))
-    for j, (dp, name) in enumerate(((h[0], "E"), (h[1], "nu"))):
-        Ep, nup = (E + dp, nu) if name == "E" else (E, nu + dp)
-        K0 = E / (3.0 * (1.0 - 2.0 * nu))
-        G0 = E / (2.0 * (1.0 + nu))
-        K1 = Ep / (3.0 * (1.0 - 2.0 * nup))
-        G1 = Ep / (2.0 * (1.0 + nup))
-        D[0, j] = (K1 - K0) / dp
-        D[1, j] = (G1 - G0) / dp
+    for j, (Ep, nup) in enumerate(((E + h[0], nu), (E, nu + h[1]))):
+        K1, G1 = convert_E_nu_to_K_G(Ep, nup)
+        D[0, j] = (K1 - K0) / h[j]
+        D[1, j] = (G1 - G0) / h[j]
     sigma_kg = D @ np.diag([dE**2, dnu**2]) @ D.T
     kappa_e = np.array([mc["K_mean"], mc["G_mean"]])
     return kappa_e, sigma_kg, mc

@@ -65,10 +65,11 @@ def cmd_generate(cfg: Config) -> int:
         fine = mesh
     E_true = cfg.get_float("E_true")
     nu_true = cfg.get_float("nu_true")
+    # Echoed in the manifest only: the mesh files' load lines set the applied load.
     load = cfg.get_float("load", 1500.0)
     sigma = cfg.get_float("sigma", 0.0)
     seed = cfg.get_seed()
-    data = generate_plate_data(fine, mesh, (E_true, nu_true), load, sigma, seed)
+    data = generate_plate_data(fine, mesh, (E_true, nu_true), sigma, seed)
     data_out = cfg.get_str("data_out", "observations.csv")
     write_observation_csv(data_out, data)
     manifest = [
@@ -107,16 +108,15 @@ def _calibration_inputs(cfg: Config):
     return mesh, part, data
 
 
-def _reduced_case(cfg: Config, mesh, part):
+def _reduced_case(mesh, part):
     from .benchmarks import PlateCase
     from .mesh_fem import StiffnessDecomposition, applied_forces, prescribed_values
 
     return PlateCase(
-        coarse=mesh, fine=mesh, part=part,
+        coarse=mesh, part=part,
         decomp=StiffnessDecomposition.from_mesh(mesh, part),
         pbar=applied_forces(mesh, part),
         ubar=prescribed_values(mesh, part),
-        load=cfg.get_float("load", 1500.0),
     )
 
 
@@ -132,7 +132,7 @@ def cmd_calibrate(cfg: Config, method: str) -> int:
         from .benchmarks import plate_forward_model
         from .identify_reduced import landweber_reduced, solve_nls
 
-        case = _reduced_case(cfg, mesh, part)
+        case = _reduced_case(mesh, part)
         model = plate_forward_model(case)
         kappa0 = np.array([cfg.get_float("kappa0_E", 180000.0),
                            cfg.get_float("kappa0_nu", 0.35)])
@@ -277,7 +277,7 @@ def cmd_uq(cfg: Config, method: str, jobs: int = 1) -> int:
         from .uq import covariance_and_ci
 
         mesh, part, data = _calibration_inputs(cfg)
-        case = _reduced_case(cfg, mesh, part)
+        case = _reduced_case(mesh, part)
         model = plate_forward_model(case)
         kappa0 = np.array([cfg.get_float("kappa0_E", 180000.0),
                            cfg.get_float("kappa0_nu", 0.35)])
@@ -314,7 +314,7 @@ def cmd_uq(cfg: Config, method: str, jobs: int = 1) -> int:
         from .uq import ensemble_sample
 
         mesh, part, data = _calibration_inputs(cfg)
-        case = _reduced_case(cfg, mesh, part)
+        case = _reduced_case(mesh, part)
         sigma_e = cfg.get_float("sigma_e")
         variation = cfg.get_float("prior_variation", 0.10)
         center = np.array([cfg.get_float("prior_E", 210000.0),

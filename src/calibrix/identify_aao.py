@@ -72,30 +72,31 @@ class AaoOperators:
         self.p_vec[-1] = root * p_check
         self.n_rows = len(zero) + 1
         self.n_u = part.n_free
-        self._kkt_orders = {}  # CSC pattern of K_fr K_fr^T -> column order
+        self._orders = {}  # CSC pattern -> column order
 
     def k_fr(self, kappa) -> sp.csr_matrix:
         return (kappa[0] * self.K_fr[0] + kappa[1] * self.K_fr[1]).tocsr()
 
-    def solve_kkt(self, K: sp.csr_matrix, r: np.ndarray) -> np.ndarray:
-        """lam with (K K^T) lam = r, bit for bit ``splu((K @ K.T).tocsc()).solve(r)``.
+    def solve(self, M: sp.csc_matrix, r: np.ndarray) -> np.ndarray:
+        """x with M x = r, bit for bit ``splu(M).solve(r)``.
 
+        The solvers' two sparse systems, K K^T of the minimum-norm correction
+        and the normal matrix of the state subproblem, are solved here.
         COLAMD looks only at the pattern, so the first factorization of each
-        pattern of K K^T (sparse products drop entries that cancel to 0)
-        fixes its column order; later ones factor M[:, order] in natural
-        order, as ``StiffnessDecomposition.solve`` does.
+        pattern (sparse products drop entries that cancel to 0) fixes its
+        column order; later ones factor M[:, order] in natural order, as
+        ``StiffnessDecomposition.solve`` does.
         """
-        M = (K @ K.T).tocsc()
-        key = (M.indptr.tobytes(), M.indices.tobytes())
-        order = self._kkt_orders.get(key)
+        key = (M.shape, M.indptr.tobytes(), M.indices.tobytes())
+        order = self._orders.get(key)
         if order is None:
             lu = _factor(M)
-            self._kkt_orders[key] = np.argsort(lu.perm_c)
+            self._orders[key] = np.argsort(lu.perm_c)
             return lu.solve(r)
         y = _factor(M[:, order], permc_spec="NATURAL").solve(r)
-        lam = np.empty_like(y)
-        lam[order] = y
-        return lam
+        x = np.empty_like(y)
+        x[order] = y
+        return x
 
     def physics_residual(self, u, kappa) -> np.ndarray:
         return self.a_cols(u) @ kappa - self.p_vec
@@ -214,7 +215,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
             H = ((sigma_s + sigma_d) * (K.T @ K)
                  + (anchor + gamma_s) * sp.identity(ops.n_u)).tocsc()
             rhs = sigma_s * (K.T @ r0) + gamma_s * (u_init - d_u)
-        return d_u + _factor(H).solve(rhs)
+        return d_u + ops.solve(H, rhs)
 
     if method == "gauss_seidel":
         for it in range(1, max_iter + 1):
@@ -262,7 +263,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
                 break
         K, r0 = r0_of(kappa)
         shrink = sigma_s / (sigma_s + sigma_d)
-        lam_mn = ops.solve_kkt(K, shrink * r0)
+        lam_mn = ops.solve((K @ K.T).tocsc(), shrink * r0)
         u = d_u + K.T @ lam_mn
         obj, r = phi(u, kappa)
         history.append(obj)
@@ -276,7 +277,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
         # minimum-norm correction w(kappa) = K^T (K K^T)^{-1} r0(kappa).
         def min_norm_w(kappa):
             K, r0 = r0_of(kappa)
-            return K.T @ ops.solve_kkt(K, r0)
+            return K.T @ ops.solve((K @ K.T).tocsc(), r0)
 
         w = min_norm_w(kappa)
         lam_damp = 1e-3

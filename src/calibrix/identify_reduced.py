@@ -59,22 +59,6 @@ def data_vectors(model: ForwardModel, data) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(d, dtype=float), np.asarray(W, dtype=float)
 
 
-def residual(model: ForwardModel, data, kappa) -> np.ndarray:
-    """r = s(kappa) - d (unweighted)."""
-    d, _ = data_vectors(model, data)
-    return model(kappa) - d
-
-
-def weighted_residual(model: ForwardModel, data, kappa) -> np.ndarray:
-    d, W = data_vectors(model, data)
-    return W * (model(kappa) - d)
-
-
-def objective(model: ForwardModel, data, kappa) -> float:
-    rw = weighted_residual(model, data, kappa)
-    return 0.5 * float(rw @ rw)
-
-
 def default_nd_steps(kappa) -> np.ndarray:
     """Forward-difference steps: max(1e-6 |kappa_i|, 1e-8)."""
     return np.maximum(1e-6 * np.abs(np.asarray(kappa, dtype=float)), 1e-8)
@@ -130,17 +114,6 @@ class CalibrationResult:
     identifiable: bool | None = None
     eig_ratio: float | None = None
     det_hessian: float | None = None
-
-    def summary(self) -> str:
-        lines = []
-        for i, name in enumerate(self.names):
-            line = f"{name} = {self.kappa[i]:.6g}"
-            if self.std is not None:
-                line += f" +- {self.std[i]:.4g}"
-            lines.append(line)
-        lines.append(f"objective = {self.objective:.6g}")
-        lines.append(f"converged = {self.converged} ({self.message})")
-        return "\n".join(lines)
 
 
 def solve_nls(
@@ -242,14 +215,6 @@ def solve_nls(
 
     attach_uncertainty(result, level=ci_level)
     return result
-
-
-def foc_residual(result: CalibrationResult, data, model: ForwardModel) -> float:
-    """Scaled first-order optimality residual at the reported solution."""
-    d, W = data_vectors(model, data)
-    Jw = W[:, None] * result.jacobian
-    g = Jw.T @ (W * result.residual)
-    return float(np.linalg.norm(g) / (1.0 + np.linalg.norm(Jw.T @ (W * d))))
 
 
 # ---------------------------------------------------------------------------

@@ -106,20 +106,6 @@ def elasticity_matrix_plane_stress(params: ElasticParams) -> np.ndarray:
     )
 
 
-def elasticity_matrix_c11_c12(c11: float, c12: float) -> np.ndarray:
-    """Plane-stress matrix in the linear parameter coordinates (C11, C12).
-
-    C22 = C11 and C33 = (C11 - C12)/2 are enforced by isotropy.
-    """
-    return np.array(
-        [
-            [c11, c12, 0.0],
-            [c12, c11, 0.0],
-            [0.0, 0.0, 0.5 * (c11 - c12)],
-        ]
-    )
-
-
 def c_coords_from_E_nu(E: float, nu: float) -> tuple[float, float]:
     """(E, nu) -> (C11, C12) plane-stress coordinates."""
     f = E / (1.0 - nu * nu)
@@ -132,18 +118,6 @@ def E_nu_from_c_coords(c11: float, c12: float) -> tuple[float, float]:
         raise ParameterError(f"C11 must be positive, got {c11}")
     nu = c12 / c11
     return c11 * (1.0 - nu * nu), nu
-
-
-def uniaxial_elastic_response(K: float, G: float, eps: float) -> tuple[float, float]:
-    """Axial stress and lateral strain of a uniaxial state in (K, G) form.
-
-    sigma = 9KG/(3K+G) eps,  eps_q = -(3K-2G)/(6K+2G) eps.
-    """
-    if K <= 0.0 or G <= 0.0:
-        raise ParameterError(f"bulk and shear moduli must be positive, got K={K}, G={G}")
-    sigma = 9.0 * K * G / (3.0 * K + G) * eps
-    eps_q = -(3.0 * K - 2.0 * G) / (6.0 * K + 2.0 * G) * eps
-    return sigma, eps_q
 
 
 @dataclass(frozen=True)
@@ -194,10 +168,6 @@ class MaterialState:
     viscous_strain: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
     backstress: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
     arc_length: float = 0.0
-
-    @classmethod
-    def zero(cls) -> "MaterialState":
-        return cls()
 
 
 def _dev(t: np.ndarray) -> np.ndarray:
@@ -522,43 +492,3 @@ def uniaxial_plastic_driver(
                           backstress=np.diag([x_ax, x_lat, x_lat]), arc_length=arc)
     return np.array(sigma_ax), np.array(eps_lat), final
 
-
-def read_parameter_file(path) -> dict:
-    """Read a key-value material parameter file.
-
-    Recognized keys: ``E, nu`` or ``K, G`` for elasticity; ``k, b, c, eta, r``
-    for plasticity.  Units are fixed (N/mm^2 and seconds).
-    """
-    params = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"malformed parameter line: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            params[key] = float(value)
-    return params
-
-
-def write_parameter_file(path, params: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in params.items():
-            fh.write(f"{key} = {value!r}\n")
-
-
-def elastic_params_from_mapping(params: dict) -> ElasticParams:
-    """Build ElasticParams from a parameter mapping with E/nu or K/G keys."""
-    if "E" in params and "nu" in params:
-        return ElasticParams(E=params["E"], nu=params["nu"])
-    if "K" in params and "G" in params:
-        return ElasticParams.from_bulk_shear(params["K"], params["G"])
-    raise ParameterError("elastic parameters require either (E, nu) or (K, G)")
-
-
-def plastic_params_from_mapping(params: dict) -> PlasticParams:
-    kwargs = {key: params[key] for key in ("k", "b", "c", "eta", "r") if key in params}
-    if "k" not in kwargs:
-        raise ParameterError("plastic parameters require at least the yield stress k")
-    return PlasticParams(**kwargs)

@@ -250,35 +250,6 @@ def _element_gauss_data(mesh: Mesh, elements=None):
     return B, w
 
 
-def element_stiffness_from_coords(coords, C, thickness, label="element") -> np.ndarray:
-    """8x8 stiffness of a single Q4 element from its node coordinates."""
-    coords = np.asarray(coords, dtype=float)
-    k = np.zeros((8, 8))
-    for g, (xi, eta) in enumerate(GAUSS_POINTS):
-        dN = shape_gradients(xi, eta)
-        J = dN @ coords
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        if det <= 0.0:
-            raise GeometryError(
-                f"{label} is degenerate (det J = {det:.3e} at Gauss point {g})"
-            )
-        dNx = np.linalg.solve(J, dN)
-        B = np.zeros((3, 8))
-        B[0, 0::2] = dNx[0]
-        B[1, 1::2] = dNx[1]
-        B[2, 0::2] = dNx[1]
-        B[2, 1::2] = dNx[0]
-        k += GAUSS_WEIGHTS[g] * det * thickness * (B.T @ C @ B)
-    return k
-
-
-def element_stiffness(mesh: Mesh, e: int, C: np.ndarray) -> np.ndarray:
-    """8x8 stiffness of mesh element ``e`` for elasticity matrix ``C``."""
-    return element_stiffness_from_coords(
-        mesh.nodes[mesh.elements[e]], C, mesh.thickness, label=f"element {e}"
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionedStiffness:
     """Stiffness blocks of the free/prescribed partition (all sparse, N/mm).
@@ -290,11 +261,6 @@ class PartitionedStiffness:
     K: sp.csr_matrix
     Kbar: sp.csr_matrix
     Kbarbar: sp.csr_matrix
-
-    def full(self) -> np.ndarray:
-        top = np.hstack([self.K.toarray(), self.Kbar.toarray()])
-        bottom = np.hstack([self.Kbar.T.toarray(), self.Kbarbar.toarray()])
-        return np.vstack([top, bottom])
 
 
 def _assemble_global(mesh: Mesh, C: np.ndarray) -> sp.csr_matrix:

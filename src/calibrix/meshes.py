@@ -1,4 +1,4 @@
-"""Structured mesh generators for the built-in benchmark geometries."""
+"""Structured mesh of the built-in plate benchmark: a quarter plate with a hole."""
 
 from __future__ import annotations
 
@@ -8,50 +8,6 @@ import numpy as np
 
 from .errors import GeometryError
 from .mesh_fem import Mesh
-
-
-def rectangle_mesh(
-    nx: int,
-    ny: int,
-    lx: float,
-    ly: float,
-    thickness: float = 1.0,
-    distort: float = 0.0,
-    seed: int = 0,
-    dirichlet=(),
-    neumann=(),
-) -> Mesh:
-    """Structured rectangle on [0, lx] x [0, ly].
-
-    ``distort`` jitters interior nodes by up to that fraction of half the
-    local spacing (boundary nodes stay put), for mesh-robustness tests.
-    """
-    xs = np.linspace(0.0, lx, nx + 1)
-    ys = np.linspace(0.0, ly, ny + 1)
-    X, Y = np.meshgrid(xs, ys)
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    if distort > 0.0:
-        rng = np.random.default_rng(seed)
-        interior = np.ones(len(nodes), dtype=bool)
-        grid_i = np.tile(np.arange(nx + 1), ny + 1)
-        grid_j = np.repeat(np.arange(ny + 1), nx + 1)
-        interior &= (grid_i > 0) & (grid_i < nx) & (grid_j > 0) & (grid_j < ny)
-        h = 0.5 * distort * np.array([lx / nx, ly / ny])
-        nodes[interior] += rng.uniform(-1.0, 1.0, (interior.sum(), 2)) * h
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    elements = np.array(
-        [
-            [nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)]
-            for j in range(ny)
-            for i in range(nx)
-        ],
-        dtype=np.int64,
-    )
-    return Mesh(nodes=nodes, elements=elements, thickness=thickness,
-                dirichlet=dirichlet, neumann=neumann)
 
 
 def _edge_loads(positions: np.ndarray, node_ids, comp: int, total: float):
@@ -66,34 +22,6 @@ def _edge_loads(positions: np.ndarray, node_ids, comp: int, total: float):
     weights[1:] += 0.5 * seg
     forces = total * weights / (positions[-1] - positions[0])
     return tuple((int(n), comp, float(f)) for n, f in zip(node_ids, forces))
-
-
-def uniaxial_patch_mesh(
-    nx: int,
-    ny: int,
-    lx: float = 2.0,
-    ly: float = 1.0,
-    thickness: float = 1.0,
-    traction: float = 100.0,
-    distort: float = 0.0,
-    seed: int = 0,
-) -> Mesh:
-    """Rectangle under uniform axial traction with roller supports.
-
-    Left edge u1 = 0, bottom edge u2 = 0, uniform traction (N/mm^2) on the
-    right edge.  The exact solution is a constant-strain state.
-    """
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    dirichlet = [(nid(0, j), 0, 0.0) for j in range(ny + 1)]
-    dirichlet += [(nid(i, 0), 1, 0.0) for i in range(nx + 1)]
-    right = [nid(nx, j) for j in range(ny + 1)]
-    ys = np.linspace(0.0, ly, ny + 1)
-    neumann = _edge_loads(ys, right, 0, traction * ly * thickness)
-    return rectangle_mesh(nx, ny, lx, ly, thickness, distort=distort, seed=seed,
-                          dirichlet=tuple(dirichlet), neumann=neumann)
 
 
 def quarter_plate_mesh(

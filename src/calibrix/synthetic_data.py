@@ -238,17 +238,16 @@ def generate_plate_data(
     fine_mesh: Mesh,
     coarse_mesh: Mesh,
     kappa_true,
-    load: float,
     sigma: float,
     seed: int,
 ) -> ObservationSet:
     """Synthetic DIC-like observations for the plate benchmark.
 
-    Solves the fine mesh at (E, nu) = kappa_true, interpolates both
-    displacement components onto the coarse-mesh nodes, and adds independent
-    N(0, sigma^2) noise to every displacement entry.  The measured force
-    resultant (load-cell reading) is appended noise-free.  Deterministic for
-    fixed seed.
+    Solves the fine mesh at (E, nu) = kappa_true under the load of its own
+    load lines, interpolates both displacement components onto the
+    coarse-mesh nodes, and adds independent N(0, sigma^2) noise to every
+    displacement entry.  The measured force resultant (load-cell reading) is
+    appended noise-free.  Deterministic for fixed seed.
     """
     E, nu = kappa_true
     _, u_full, _, resultant = solve_elastic_plate(fine_mesh, E, nu)

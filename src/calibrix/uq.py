@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, IdentifiabilityError, NumericalError, ParameterError
-from .identify_reduced import ForwardModel, data_vectors, default_nd_steps
+from .identify_reduced import default_nd_steps
 
 _Z_TABLE = {0.95: 1.96, 0.68: 1.0}
 
@@ -27,14 +27,6 @@ def z_value(level: float) -> float:
     from scipy.stats import norm
 
     return float(norm.ppf(0.5 * (1.0 + level)))
-
-
-def hessian_approx(J: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
-    """Gauss-Newton Hessian J^T W^T W J (symmetric positive semidefinite)."""
-    J = np.asarray(J, dtype=float)
-    Jw = J if W is None else np.asarray(W, dtype=float)[:, None] * J
-    H = Jw.T @ Jw
-    return 0.5 * (H + H.T)
 
 
 @dataclass(eq=False)
@@ -253,29 +245,6 @@ def monte_carlo_convert(E_mean, E_std, nu_mean, nu_std, n: int = 4000, seed: int
         "G_std": float(G.std(ddof=1)),
         "n_rejected": n_rejected,
     }
-
-
-def log_likelihood(model: ForwardModel, data, kappa, sigma_e) -> float:
-    """Gaussian log density of the residual, constants included.
-
-    ``sigma_e`` is a scalar or per-entry array of noise standard deviations.
-    A failed forward evaluation yields -inf (with a warning).
-    """
-    d, _ = data_vectors(model, data)
-    sig = np.broadcast_to(np.asarray(sigma_e, dtype=float), d.shape)
-    if np.any(sig <= 0.0):
-        raise ParameterError("noise standard deviations must be positive")
-    try:
-        r = model(kappa) - d
-    except Exception as exc:
-        warnings.warn(f"forward evaluation failed in log-likelihood: {exc}", stacklevel=2)
-        return -np.inf
-    n = d.size
-    return float(
-        -0.5 * n * math.log(2.0 * math.pi)
-        - np.log(sig).sum()
-        - 0.5 * float(((r / sig) ** 2).sum())
-    )
 
 
 # ---------------------------------------------------------------------------

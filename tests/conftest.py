@@ -2,7 +2,8 @@
 
 import pytest
 
-from calibrix.benchmarks import generate_twostep_data, make_plate_case, plate_observations
+from calibrix.benchmarks import generate_twostep_data
+from cases import make_plate_case, plate_observations
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,8 @@ from calibrix.benchmarks import (
     TWOSTEP_TRUTH,
     fit_plastic,
     generate_twostep_data,
-    make_plate_case,
     plate_forward_model,
     plate_log_posterior,
-    plate_observations,
     two_step_identify,
     uniaxial_response,
 )
@@ -44,6 +42,7 @@ from calibrix.materials import (
 from calibrix.synthetic_data import ObservationSet, assemble_data_vector
 from calibrix.uq import covariance_and_ci, ensemble_sample, gaussian_error_propagation, monte_carlo_convert, two_step_covariance
 from oracle_plasticity import uniaxial_explicit_reference
+from cases import make_plate_case, plate_observations
 
 E_TRUE, NU_TRUE = 210000.0, 0.3
 KAPPA0 = np.array([180000.0, 0.35])
@@ -254,7 +253,7 @@ def test_criterion_07_plasticity_integrator():
     ok_curve = dev <= 0.005
 
     # Post-step consistency and deviatoric exactness on a strain-driven ramp.
-    st = MaterialState.zero()
+    st = MaterialState()
     ok_f = True
     for x in np.linspace(0.0, 0.05, 41)[1:]:
         e = np.diag([x, -0.44 * x, -0.44 * x])

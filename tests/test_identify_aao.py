@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import splu
 from numpy.testing import assert_allclose
 
-from calibrix.benchmarks import make_plate_case, plate_forward_model, plate_observations
+from calibrix.benchmarks import plate_forward_model
 from calibrix.errors import DivergenceError, SolverError
 from calibrix.identify_aao import (
     DEFAULT_KAPPA0,
@@ -22,6 +24,7 @@ from calibrix.identify_vfm import equilibrium_gap, full_field_vectors, solve_vfm
 from calibrix.materials import c_coords_from_E_nu
 from calibrix.mesh_fem import DofPartition
 from calibrix.meshes import quarter_plate_mesh
+from cases import make_plate_case, plate_observations
 
 KAPPA_TRUE_C = np.array(c_coords_from_E_nu(210000.0, 0.3))
 
@@ -33,34 +36,66 @@ def _quiet_seminorm_warning():
         yield
 
 
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """The permc_spec of every sparse factorization, in call order."""
+    calls = []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec", "COLAMD"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
 class TestKktSolve:
-    def test_bit_identical_to_fresh_factorization(self, monkeypatch):
+    def test_bit_identical_to_fresh_factorization(self, splu_calls):
         mesh = quarter_plate_mesh(30, 25)  # the plate-reference mesh, 1 545 rows
         ops = AaoOperators(mesh, DofPartition.from_mesh(mesh), 1500.0)
-        calls = []
-        splu = spla.splu
-
-        def counting_splu(*args, **kwargs):
-            calls.append(kwargs.get("permc_spec", "COLAMD"))
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", counting_splu)
         rng = np.random.default_rng(0)
         for i in range(30):
             kappa = DEFAULT_KAPPA0 * rng.uniform(0.8, 1.2, 2)
             K = ops.k_fr(kappa)
             r0 = ops.p_vec - K @ rng.uniform(-1e-3, 1e-3, ops.n_u)
-            n_calls = len(calls)
-            lam = ops.solve_kkt(K, r0)
-            assert len(calls) == n_calls + 1  # the cache adds no factorization
+            n_calls = len(splu_calls)
+            lam = ops.solve((K @ K.T).tocsc(), r0)
+            assert len(splu_calls) == n_calls + 1  # the cache adds no factorization
             oracle = splu((K @ K.T).tocsc()).solve(r0)
             assert np.array_equal(lam.view(np.int64), oracle.view(np.int64)), i
-        assert calls == ["COLAMD"] + ["NATURAL"] * 29
+        assert splu_calls == ["COLAMD"] + ["NATURAL"] * 29
 
     def test_failed_factorization_raises_solver_error(self, plate_small):
         ops = AaoOperators(plate_small.coarse, plate_small.part, 1500.0)
+        K = ops.k_fr(np.zeros(2))
         with pytest.raises(SolverError, match="condition estimate inf"):
-            ops.solve_kkt(ops.k_fr(np.zeros(2)), ops.p_vec)
+            ops.solve((K @ K.T).tocsc(), ops.p_vec)
+
+
+class TestStateSolve:
+    def test_bit_identical_to_fresh_factorization(self, splu_calls):
+        mesh = quarter_plate_mesh(30, 25)
+        ops = AaoOperators(mesh, DofPartition.from_mesh(mesh), 1500.0)
+        rng = np.random.default_rng(1)
+        for i in range(10):
+            K = ops.k_fr(DEFAULT_KAPPA0 * rng.uniform(0.8, 1.2, 2))
+            # The state subproblem's normal matrix, as both AAO flavors form it.
+            H = (K.T @ K + rng.uniform(1e-6, 1.0) * sp.identity(ops.n_u)).tocsc()
+            rhs = rng.normal(size=ops.n_u)
+            x = ops.solve(H, rhs)
+            oracle = splu(H).solve(rhs)
+            assert np.array_equal(x.view(np.int64), oracle.view(np.int64)), i
+        assert splu_calls == ["COLAMD"] + ["NATURAL"] * 9
+
+    @pytest.mark.parametrize("method", ["gauss_newton", "gauss_seidel"])
+    def test_solver_orders_the_pattern_once(self, method, splu_calls, plate_small,
+                                            plate_small_matched):
+        # sigma_d = 1e8 keeps gauss_newton off the lexicographic branch, so
+        # both methods solve the state subproblem at every step.
+        aao_fem_solve(plate_small.coarse, plate_small.part, plate_small_matched,
+                      sigma_s=1.0, sigma_d=1e8, method=method, max_iter=5)
+        assert len(splu_calls) >= 2
+        assert splu_calls == ["COLAMD"] + ["NATURAL"] * (len(splu_calls) - 1)
 
 
 class TestAaoFem:

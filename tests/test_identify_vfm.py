@@ -65,7 +65,7 @@ class TestSolveVfm:
     def test_noisy_case_runs_and_drift_logged(self, plate_small):
         # Strain differentiation of noisy data degrades the direct solve; no
         # accuracy bound is asserted, only that the drift is finite.
-        from calibrix.benchmarks import plate_observations
+        from cases import plate_observations
 
         noisy = plate_observations(plate_small, 4e-4, seed=5)
         result = solve_vfm(plate_small.coarse, plate_small.part, noisy)

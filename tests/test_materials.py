@@ -21,15 +21,9 @@ from calibrix.materials import (
     convert_E_nu_to_K_G,
     convert_K_G_to_E_nu,
     E_nu_from_c_coords,
-    elastic_params_from_mapping,
-    elasticity_matrix_c11_c12,
     elasticity_matrix_plane_stress,
     integrate_viscoplastic_step,
-    plastic_params_from_mapping,
-    read_parameter_file,
-    uniaxial_elastic_response,
     uniaxial_plastic_driver,
-    write_parameter_file,
 )
 from oracle_corrector import solve_plastic_multiplier as oracle_multiplier
 from oracle_plasticity import explicit_path_reference, uniaxial_explicit_reference
@@ -70,8 +64,10 @@ class TestElasticityMatrix:
             ElasticParams(E=1.0, nu=-1.0)
 
     def test_c_coordinate_matrix(self):
-        C = elasticity_matrix_c11_c12(230769.23, 69230.77)
-        assert_allclose(C[2, 2], 0.5 * (230769.23 - 69230.77), rtol=1e-14)
+        C = elasticity_matrix_plane_stress(ElasticParams(E=210000.0, nu=0.3))
+        c11, c12 = c_coords_from_E_nu(210000.0, 0.3)
+        assert_allclose([C[0, 0], C[0, 1]], [c11, c12], rtol=1e-14)
+        assert_allclose(C[2, 2], 0.5 * (c11 - c12), rtol=1e-14)
         E, nu = E_nu_from_c_coords(*c_coords_from_E_nu(210000.0, 0.3))
         assert_allclose([E, nu], [210000.0, 0.3], rtol=1e-12)
 
@@ -108,27 +104,6 @@ class TestConversions:
             convert_E_nu_to_K_G(1.0, 0.5)
 
 
-class TestUniaxialElastic:
-    def test_zero_strain(self):
-        assert uniaxial_elastic_response(175000.0, 80769.23, 0.0) == (0.0, 0.0)
-
-    def test_steel_point(self):
-        sigma, eps_q = uniaxial_elastic_response(175000.0, 80769.23, 0.001)
-        assert_allclose(sigma, 210.0, rtol=1e-6)
-        assert_allclose(eps_q, -0.0003, rtol=1e-6)
-
-    def test_consistency_with_E_nu_form(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            E = float(rng.uniform(1e3, 3e5))
-            nu = float(rng.uniform(0.0, 0.49))
-            K, G = convert_E_nu_to_K_G(E, nu)
-            eps = float(rng.uniform(-0.01, 0.01))
-            sigma, eps_q = uniaxial_elastic_response(K, G, eps)
-            assert_allclose(sigma, E * eps, rtol=1e-12, atol=1e-15)
-            assert_allclose(eps_q, -nu * eps, rtol=1e-12, atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # Viscoplastic integrator
 # ---------------------------------------------------------------------------
@@ -147,7 +122,7 @@ class TestIntegrator:
     def test_below_yield_elastic(self):
         ep = steel_elastic()
         pp = PlasticParams(**HARDENING)
-        state = MaterialState.zero()
+        state = MaterialState()
         strain = np.diag([5e-4, -1.5e-4, -1.5e-4])
         new_state, sigma = integrate_viscoplastic_step(state, strain, 1.0, ep, pp)
         assert new_state is state
@@ -169,7 +144,7 @@ class TestIntegrator:
         dts = np.full(50, 0.1)
         ref, _ = explicit_path_reference(strains, dts, STEEL["K"], STEEL["G"],
                                          pp.k, pp.b, pp.c, substeps=200)
-        state = MaterialState.zero()
+        state = MaterialState()
         scale = np.abs(ref[:, 0, 0]).max()
         for i in range(1, 51):
             state, sigma = integrate_viscoplastic_step(state, strains[i], 0.1, ep, pp)
@@ -179,7 +154,7 @@ class TestIntegrator:
         ep = steel_elastic()
         pp = PlasticParams(**HARDENING)
         strains = ramp_path(40)
-        state = MaterialState.zero()
+        state = MaterialState()
         for i in range(1, 41):
             new_state, sigma = integrate_viscoplastic_step(state, strains[i], 0.1, ep, pp)
             if new_state.arc_length > state.arc_length:
@@ -198,7 +173,7 @@ class TestIntegrator:
         ref, _ = explicit_path_reference(strains, dts, 2000.0, 1000.0,
                                          pp.k, pp.b, pp.c, eta=pp.eta, r=pp.r,
                                          substeps=2000)
-        state = MaterialState.zero()
+        state = MaterialState()
         scale = np.abs(ref[:, 0, 0]).max()
         for i in range(1, 21):
             state, sigma = integrate_viscoplastic_step(state, strains[i], 0.05, ep, pp)
@@ -208,7 +183,7 @@ class TestIntegrator:
         ep = ElasticParams.from_bulk_shear(2000.0, 1000.0)
         pp = PlasticParams(k=10.0, b=5.0, c=500.0, eta=2.0, r=1.5)
         a = np.linspace(0.0, 0.05, 21)
-        state = MaterialState.zero()
+        state = MaterialState()
         checked = 0
         for i in range(1, 21):
             strain = np.diag([a[i], -0.3 * a[i], -0.1 * a[i]])
@@ -237,7 +212,7 @@ class TestIntegrator:
     def test_unload_reload_inside_yield_surface(self):
         ep = steel_elastic()
         pp = PlasticParams(**HARDENING)
-        state = MaterialState.zero()
+        state = MaterialState()
         for x in (0.002, 0.004):
             state, _ = integrate_viscoplastic_step(
                 state, np.diag([x, -0.4 * x, -0.4 * x]), 0.1, ep, pp
@@ -254,7 +229,7 @@ class TestIntegrator:
         ep = steel_elastic()
         pp = PlasticParams(**HARDENING)
         rng = np.random.default_rng(7)
-        state = MaterialState.zero()
+        state = MaterialState()
         e = np.zeros((3, 3))
         for _ in range(100_000):
             d = rng.normal(scale=2e-4, size=(3, 3))
@@ -282,7 +257,7 @@ class TestIntegrator:
             PlasticParams(k=1.0, r=0.5)
         with pytest.raises(Exception):
             integrate_viscoplastic_step(
-                MaterialState.zero(), np.zeros((3, 3)), 0.0,
+                MaterialState(), np.zeros((3, 3)), 0.0,
                 steel_elastic(), PlasticParams(**HARDENING),
             )
 
@@ -542,7 +517,7 @@ class TestUniaxialDriver:
         ep = steel_elastic()
         pp = PlasticParams(**HARDENING)
         eps = np.linspace(0.0, 0.04, 41)
-        state = MaterialState.zero()
+        state = MaterialState()
         for i in range(1, 41):
             e = np.diag([eps[i], -0.42 * eps[i], -0.42 * eps[i]])
             new_state, sigma = integrate_viscoplastic_step(state, e, 0.1, ep, pp)
@@ -578,7 +553,7 @@ class TestUniaxialDriver:
 
         # The step's state and stress are those of a fresh integrator call at
         # the converged lateral strain, bit for bit.
-        fresh = MaterialState.zero()
+        fresh = MaterialState()
         for i in range(1, eps.size):
             fresh, sig = integrate_viscoplastic_step(
                 fresh, np.diag([eps[i], lat[i], lat[i]]), 0.1, ep, pp)
@@ -649,27 +624,3 @@ class TestUniaxialDriver:
         with pytest.raises(DriverError):
             uniaxial_plastic_driver(np.empty(0), 0.1, ep, pp)
 
-
-# ---------------------------------------------------------------------------
-# Parameter file round trip
-# ---------------------------------------------------------------------------
-
-
-def test_parameter_file_round_trip(tmp_path):
-    path = tmp_path / "params.txt"
-    params = {"K": 150991.0, "G": 79321.0, "k": 282.6, "b": 41.04, "c": 3499.8,
-              "eta": 0.0, "r": 1.0}
-    write_parameter_file(path, params)
-    loaded = read_parameter_file(path)
-    assert loaded == params
-    ep = elastic_params_from_mapping(loaded)
-    assert_allclose([ep.bulk, ep.shear], [150991.0, 79321.0], rtol=1e-10)
-    pp = plastic_params_from_mapping(loaded)
-    assert pp.k == 282.6 and pp.rate_independent
-
-
-def test_parameter_mapping_errors():
-    with pytest.raises(ParameterError):
-        elastic_params_from_mapping({"E": 1.0})
-    with pytest.raises(ParameterError):
-        plastic_params_from_mapping({"b": 1.0})

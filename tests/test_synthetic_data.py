@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from calibrix.errors import DataCoverageError, InterpolationError, WeightingError
-from calibrix.meshes import quarter_plate_mesh, rectangle_mesh
+from calibrix.meshes import quarter_plate_mesh
 from calibrix.synthetic_data import (
     ObservationSet,
     _ElementLocator,
@@ -205,7 +205,7 @@ class TestDataVector:
 class TestGeneratePlateData:
     def test_clean_data_equals_interpolated_solution(self, meshes):
         fine, coarse = meshes
-        data = generate_plate_data(fine, coarse, KAPPA_TRUE, 1500.0, 0.0, seed=11)
+        data = generate_plate_data(fine, coarse, KAPPA_TRUE, 0.0, seed=11)
         _, u_full, _, resultant = solve_elastic_plate(fine, *KAPPA_TRUE)
         disp = interpolate_bilinear(fine, u_full, coarse.nodes)
         assert_allclose(data.values("u1"), disp[:, 0], rtol=0, atol=0)
@@ -215,15 +215,15 @@ class TestGeneratePlateData:
 
     def test_seed_determinism(self, meshes):
         fine, coarse = meshes
-        a = generate_plate_data(fine, coarse, KAPPA_TRUE, 1500.0, 4e-4, seed=42)
-        b = generate_plate_data(fine, coarse, KAPPA_TRUE, 1500.0, 4e-4, seed=42)
+        a = generate_plate_data(fine, coarse, KAPPA_TRUE, 4e-4, seed=42)
+        b = generate_plate_data(fine, coarse, KAPPA_TRUE, 4e-4, seed=42)
         assert np.array_equal(a.d, b.d)
         assert np.array_equal(a.W, b.W)
 
     def test_signal_independent_of_seed(self, meshes):
         fine, coarse = meshes
-        a = generate_plate_data(fine, coarse, KAPPA_TRUE, 1500.0, 2e-4, seed=1)
-        b = generate_plate_data(fine, coarse, KAPPA_TRUE, 1500.0, 2e-4, seed=2)
+        a = generate_plate_data(fine, coarse, KAPPA_TRUE, 2e-4, seed=1)
+        b = generate_plate_data(fine, coarse, KAPPA_TRUE, 2e-4, seed=2)
         assert not np.array_equal(a.values("u1"), b.values("u1"))
         assert np.array_equal(a.values("F1"), b.values("F1"))
         diff = a.values("u1") - b.values("u1")
@@ -232,8 +232,8 @@ class TestGeneratePlateData:
     def test_noise_statistics(self):
         coarse = quarter_plate_mesh(80, 63, grading=1.2)  # ~1e4 displacement entries
         sigma = 4e-4
-        clean = generate_plate_data(coarse, coarse, KAPPA_TRUE, 1500.0, 0.0, seed=0)
-        noisy = generate_plate_data(coarse, coarse, KAPPA_TRUE, 1500.0, sigma, seed=3)
+        clean = generate_plate_data(coarse, coarse, KAPPA_TRUE, 0.0, seed=0)
+        noisy = generate_plate_data(coarse, coarse, KAPPA_TRUE, sigma, seed=3)
         noise = np.concatenate(
             [noisy.values(c) - clean.values(c) for c in ("u1", "u2")]
         )
@@ -244,7 +244,7 @@ class TestGeneratePlateData:
 
     def test_matched_mesh_interpolation_is_exact(self, meshes):
         _, coarse = meshes
-        data = generate_plate_data(coarse, coarse, KAPPA_TRUE, 1500.0, 0.0, seed=0)
+        data = generate_plate_data(coarse, coarse, KAPPA_TRUE, 0.0, seed=0)
         _, u_full, _, _ = solve_elastic_plate(coarse, *KAPPA_TRUE)
         assert_allclose(data.values("u1"), u_full[0::2], rtol=1e-9, atol=1e-14)
 
@@ -252,7 +252,7 @@ class TestGeneratePlateData:
 class TestCsv:
     def test_round_trip(self, tmp_path, meshes):
         fine, coarse = meshes
-        data = generate_plate_data(fine, coarse, KAPPA_TRUE, 1500.0, 2e-4, seed=9)
+        data = generate_plate_data(fine, coarse, KAPPA_TRUE, 2e-4, seed=9)
         path = tmp_path / "plate.csv"
         write_observation_csv(path, data)
         loaded = read_observation_csv(path)
@@ -277,7 +277,7 @@ class TestCsv:
 @pytest.fixture(scope="module")
 def csv_lines(tmp_path_factory):
     coarse = quarter_plate_mesh(4, 3)
-    data = generate_plate_data(coarse, coarse, KAPPA_TRUE, 1500.0, 2e-4, seed=4)
+    data = generate_plate_data(coarse, coarse, KAPPA_TRUE, 2e-4, seed=4)
     path = tmp_path_factory.mktemp("csv") / "valid.csv"
     write_observation_csv(path, data)
     return path, path.read_text().splitlines()
