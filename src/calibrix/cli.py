@@ -6,21 +6,21 @@ exits 3, and writes no report, when every inner chain fails.  Data that leave
 the parameters unidentifiable (IdentifiabilityError) also exit 2: the problem
 as configured is ill-posed, which no solver setting can mend.
 
-Only the plate commands import the sparse finite-element stack, so
-``uq --method two-step``, ``uq --method hierarchical``, ``report`` and
-``--version`` load numpy only.
+Each command imports only what it runs: ``--version``, ``--help``, ``report``
+and config errors load neither numpy nor scipy, and scipy is loaded only where
+a sparse matrix is built or factored (``generate``, ``calibrate`` with the
+reduced and all-at-once methods, ``uq --method asymptotic`` and ``bayes``).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .config import Config, file_hash
+from .config import Config, file_hash, read_text_lines
 from .errors import CalibrixError, ConfigError, DivergenceError
 
 CALIBRATE_METHODS = ("reduced", "vfm", "aao-fem", "aao-vfm",
@@ -46,6 +46,13 @@ def _header(cfg: Config, kind: str) -> list:
     ]
 
 
+def _import_solver() -> None:
+    """Import scipy's sparse solver before a factoring command reads its mesh:
+    imported later, glibc's heap gives every SuperLU factorization fresh pages
+    (``uq --method bayes``: 2.2 times the page faults, 0.1 s more system time)."""
+    importlib.import_module("scipy.sparse.linalg")
+
+
 def _load_mesh(cfg: Config, key: str = "mesh_file"):
     from .mesh_fem import read_mesh_file
 
@@ -58,6 +65,7 @@ def _load_mesh(cfg: Config, key: str = "mesh_file"):
 def cmd_generate(cfg: Config) -> int:
     from .synthetic_data import generate_plate_data, write_observation_csv
 
+    _import_solver()
     mesh = _load_mesh(cfg)
     if cfg.has("fine_mesh_file"):
         fine = _load_mesh(cfg, "fine_mesh_file")
@@ -123,6 +131,10 @@ def _reduced_case(mesh, part):
 def cmd_calibrate(cfg: Config, method: str) -> int:
     if method not in CALIBRATE_METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {CALIBRATE_METHODS}")
+    import numpy as np
+
+    if method != "vfm":
+        _import_solver()
     mesh, part, data = _calibration_inputs(cfg)
     lines = _header(cfg, "calibration")
     lines.append(f"method = {method}")
@@ -268,6 +280,10 @@ def _write_chain_csv(path, chain, names) -> None:
 def cmd_uq(cfg: Config, method: str, jobs: int = 1) -> int:
     if method not in UQ_METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {UQ_METHODS}")
+    import numpy as np
+
+    if method in ("asymptotic", "bayes"):
+        _import_solver()
     lines = _header(cfg, "uq")
     lines.append(f"method = {method}")
 
@@ -397,8 +413,7 @@ def cmd_report(path) -> int:
     if not os.path.exists(path):
         print(f"report file not found: {path}", file=sys.stderr)
         return 2
-    with open(path, "r", encoding="utf-8") as fh:
-        sys.stdout.write(fh.read())
+    sys.stdout.write("".join(read_text_lines(path)))
     return 0
 
 

@@ -5,7 +5,8 @@ stiffness blocks (free/prescribed degrees of freedom), direct linear solves
 with reaction-force recovery, and the matrices that express the discrete
 equilibrium as a linear map in the elasticity coefficients (C11, C12).
 
-Degrees of freedom are numbered ``2 * node + component``.
+Degrees of freedom are numbered ``2 * node + component``.  scipy is imported
+only where a sparse matrix is built or factored; the rest runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .config import read_text_lines
 from .errors import ConfigError, DataCoverageError, GeometryError, SolverError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Reference-square node coordinates (counter-clockwise) and 2x2 Gauss points.
 _XI_N = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -264,6 +267,8 @@ class PartitionedStiffness:
 
 
 def _assemble_global(mesh: Mesh, C: np.ndarray) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     B, w = _element_gauss_data(mesh)
     k_all = np.einsum("egai,ab,egbj,eg->eij", B, C, B, w, optimize=True)
     dofs = np.empty((mesh.n_elements, 8), dtype=np.int64)
@@ -297,6 +302,8 @@ def _condition_estimate(K: sp.spmatrix, lu=None) -> float:
     """
     if lu is None:
         return float("inf")
+    import scipy.sparse.linalg as spla
+
     rng_state = np.random.get_state()
     try:
         np.random.seed(0)
@@ -311,6 +318,8 @@ def _condition_estimate(K: sp.spmatrix, lu=None) -> float:
 
 def _factor(K: sp.csc_matrix, permc_spec: str = "COLAMD"):
     """SuperLU factors of K; SolverError with a condition estimate if singular."""
+    import scipy.sparse.linalg as spla
+
     try:
         return spla.splu(K, permc_spec=permc_spec)
     except RuntimeError as exc:
@@ -470,6 +479,8 @@ class _SolvePattern:
 
     @classmethod
     def from_blocks(cls, a: PartitionedStiffness, b: PartitionedStiffness) -> "_SolvePattern":
+        import scipy.sparse as sp
+
         _shared_pattern(a.K, b.K)
         _shared_pattern(a.Kbar, b.Kbar)
         # COLAMD looks only at the pattern, so one factorization fixes the

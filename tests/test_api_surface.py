@@ -3,6 +3,7 @@
 Every public module-level function and class in ``src/calibrix`` must be used
 by library code outside its own definition, or be named in the README's
 "Library API" list.  A function that only tests call belongs in ``tests/``.
+No module in ``src/calibrix`` or ``tests/`` imports a name it never reads.
 """
 
 import ast
@@ -11,6 +12,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "calibrix"
+TESTS = ROOT / "tests"
 
 
 def _modules() -> dict:
@@ -119,3 +121,62 @@ def test_documented_names_exist():
                     defined.update(f"{stmt.name}.{sub.name}" for sub in stmt.body
                                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
     assert _api_list() and sorted(_api_list() - defined) == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _imported(body) -> list:
+    """(name, line) of each import in ``body``, nested functions and classes excluded."""
+    out = []
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            out += [(alias.asname or alias.name.split(".")[0], node.lineno)
+                    for alias in node.names]
+        elif not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _outer_reads(node) -> set:
+    """Names that ``node`` reads from the scope around it.
+
+    Annotations count as reads, string annotations such as ``-> "Mesh"`` too.
+    A function or class body that imports a name reads its own binding of it.
+    """
+    out = set()
+    for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            out |= _outer_reads(ast.parse(note.value, mode="eval"))
+    if isinstance(node, _SCOPES):
+        inner = set().union(*map(_outer_reads, node.body))
+        inner -= {name for name, _ in _imported(node.body)}
+        head = [child for child in ast.iter_child_nodes(node) if child not in node.body]
+        return out.union(inner, *map(_outer_reads, head))
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        out.add(node.id)
+    return out.union(*map(_outer_reads, ast.iter_child_nodes(node)))
+
+
+def _unused_imports(path) -> list:
+    """``path:line name`` for each imported name that its own scope never reads.
+
+    The scope of an import is the function or class it sits in, or else the
+    module; ``TYPE_CHECKING`` blocks belong to the module.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = []
+    for scope in [tree] + [node for node in ast.walk(tree) if isinstance(node, _SCOPES)]:
+        reads = set().union(*map(_outer_reads, scope.body))
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in _imported(scope.body) if name not in reads]
+    return unused
+
+
+def test_no_unused_imports():
+    files = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = [entry for path in files for entry in _unused_imports(path)]
+    assert unused == [], f"imported names that their module never reads: {unused}"

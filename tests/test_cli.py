@@ -1,10 +1,11 @@
 """End-to-end tests of the command-line pipeline."""
 
+import ast
+import math
 import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import calibrix
@@ -302,6 +303,18 @@ class TestReportAndDeterminism:
         assert "calibrix data manifest" in capsys.readouterr().out
         assert main(["report", str(workdir / "no-such-file")]) == 2
 
+    def test_report_of_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"config error: cannot read {tmp_path}: "
+                                           "Is a directory\n")
+
+    def test_report_of_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# calibrix uq report\nk = 1.0 \xe9\n")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {path}:2: not UTF-8 text "
+                                           "(byte 0xe9)\n")
+
     def test_full_pipeline_byte_identical(self, workdir, tmp_path):
         files = {}
         for run in ("a", "b"):
@@ -333,43 +346,114 @@ class TestReportAndDeterminism:
         assert strip(a_lines) == strip(b_lines)
 
 
+def _python(args, cwd):
+    """Run a fresh interpreter on the calibrix sources under test."""
+    src = os.path.dirname(os.path.dirname(calibrix.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _loaded_after(script, cwd, names) -> list:
+    """Modules named in ``names``, or inside them, that a fresh interpreter
+    holds after running ``script``."""
+    script += ("\nimport sys\n"
+               f"print(sorted(m for m in sys.modules\n"
+               f"             if any(m == n or m.startswith(n + '.') for n in {names!r})))\n")
+    out = _python(["-c", script], cwd)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def _run_commands(runs) -> str:
+    """Script that runs each (argv, exit code) through ``main``, in order."""
+    return ("import sys\n"
+            "from calibrix.cli import main\n"
+            f"for argv, code in {runs!r}:\n"
+            "    if main(argv) != code:\n"
+            "        sys.exit(f'{argv} did not exit {code}')\n")
+
+
 def test_point_model_commands_load_no_sparse_stack(tmp_path):
     """uq two-step, uq hierarchical and report import numpy, not scipy."""
     write_config(tmp_path, "two.cfg", seed=0, report_out="two.txt")
     write_config(tmp_path, "hier.cfg", seed=0, n_outer=1, walkers=6, steps=4,
                  elastic_samples=20, means_out="means.csv", stds_out="stds.csv",
                  report_out="hier.txt")
-    runs = [["uq", "-c", "two.cfg", "--method", "two-step"],
-            ["uq", "-c", "hier.cfg", "--method", "hierarchical", "--jobs", "1"],
-            ["report", "two.txt"]]
+    runs = [(["uq", "-c", "two.cfg", "--method", "two-step"], 0),
+            (["uq", "-c", "hier.cfg", "--method", "hierarchical", "--jobs", "1"], 0),
+            (["report", "two.txt"], 0)]
+    loaded = _loaded_after(_run_commands(runs), tmp_path,
+                           ("scipy", "concurrent.futures.process"))
+    assert loaded == []
+
+
+@pytest.mark.parametrize("method, sparse", [("vfm", False), ("reduced", True)])
+def test_calibrate_loads_scipy_only_to_factor(workdir, generated, tmp_path, method, sparse):
+    """The mesh files, the CSV reader and the VFM solve run on numpy alone.
+
+    ``reduced`` factors K, and shows that the check can see scipy at all.
+    """
+    write_config(tmp_path, "cal.cfg", mesh_file=workdir / "plate.mesh",
+                 data=workdir / "data.csv", report_out="cal.txt")
+    script = ("from calibrix.meshes import quarter_plate_mesh\n"
+              "from calibrix.mesh_fem import read_mesh_file, write_mesh_file\n"
+              "write_mesh_file('q.mesh', quarter_plate_mesh(4, 3))\n"
+              "assert read_mesh_file('q.mesh').n_elements == 12\n")
+    script += _run_commands([(["calibrate", "-c", "cal.cfg", "--method", method], 0)])
+    loaded = _loaded_after(script, tmp_path, ("scipy",))
+    if sparse:
+        assert "scipy.sparse.linalg" in loaded
+    else:
+        assert loaded == []
+    assert f"method = {method}" in (tmp_path / "cal.txt").read_text()
+
+
+def test_version_help_report_and_config_errors_load_no_numpy(workdir, generated, tmp_path):
+    script = ("from calibrix.cli import main\n"
+              "for argv in (['--version'], ['--help']):\n"
+              "    try:\n"
+              "        main(argv)\n"
+              "    except SystemExit as exc:\n"
+              "        assert exc.code == 0, exc.code\n")
+    script += _run_commands([(["report", str(workdir / "manifest.txt")], 0),
+                             (["calibrate", "-c", "missing.cfg"], 2)])
+    assert _loaded_after(script, tmp_path, ("numpy", "scipy")) == []
+
+
+def test_first_factorization_reports_condition_estimate(tmp_path):
+    """A fresh process whose first factorization is singular still estimates kappa(K)."""
     script = (
         "import sys\n"
-        "from calibrix.cli import main\n"
-        f"for argv in {runs!r}:\n"
-        "    if main(argv) != 0:\n"
-        "        sys.exit(f'{argv} failed')\n"
-        "loaded = [m for m in sys.modules\n"
-        "          if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process']\n"
-        "print('loaded', sorted(loaded))\n"
+        "import numpy as np\n"
+        "from calibrix.errors import SolverError\n"
+        "from calibrix.meshes import quarter_plate_mesh\n"
+        "from calibrix.mesh_fem import (DofPartition, applied_forces, assemble_stiffness,\n"
+        "                               prescribed_values, solve_linear)\n"
+        "mesh = quarter_plate_mesh(4, 3)\n"
+        "part = DofPartition.from_mesh(mesh)\n"
+        "C = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])  # C11 = C12\n"
+        "stiff = assemble_stiffness(mesh, part, C)\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+        "try:\n"
+        "    solve_linear(stiff, applied_forces(mesh, part), prescribed_values(mesh, part))\n"
+        "except SolverError as exc:\n"
+        "    print(exc)\n"
     )
-    src = os.path.dirname(os.path.dirname(calibrix.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=300)
+    out = _python(["-c", script], tmp_path)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "loaded []"
+    message = out.stdout.strip()
+    assert message.startswith("linear solve inaccurate"), message
+    estimate = float(message.rsplit(" ", 1)[1])
+    assert math.isfinite(estimate) and estimate > 1e12
 
 
 def test_non_utf8_config_exits_2(tmp_path):
     """A config file that is not UTF-8 ends in a typed error and exit 2."""
     (tmp_path / "bad.cfg").write_bytes(b"seed = 0\nreport_out = \xff.txt\n")
-    src = os.path.dirname(os.path.dirname(calibrix.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-m", "calibrix.cli", "uq", "-c", "bad.cfg",
-                          "--method", "two-step"],
-                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    out = _python(["-m", "calibrix.cli", "uq", "-c", "bad.cfg", "--method", "two-step"],
+                  tmp_path)
     assert out.returncode == 2, out.stderr
     assert out.stderr == "config error: bad.cfg:2: not UTF-8 text (byte 0xff)\n"
 

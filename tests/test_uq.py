@@ -12,7 +12,6 @@ from calibrix.benchmarks import (
     PlasticLogPosterior,
     TWOSTEP_TRUTH,
     fit_plastic,
-    generate_twostep_data,
     plastic_forward_model,
     two_step_identify,
     uniaxial_response,
