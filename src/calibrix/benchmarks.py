@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import CalibrixError
 from .identify_reduced import (
     CalibrationResult,
     ForwardModel,
@@ -287,7 +288,12 @@ def two_step_identify(data: TwoStepData, mc_seed: int = 0) -> dict:
 
 
 class PlasticLogPosterior:
-    """Picklable conditional log posterior over the plastic parameters."""
+    """Picklable conditional log posterior over the plastic parameters.
+
+    A point where the point model fails with a CalibrixError has zero
+    posterior density; any other exception is a programming error and
+    propagates, so it fails the inner chain that met it.
+    """
 
     def __init__(self, data: TwoStepData, lower, upper):
         self.stress = data.stress_plastic
@@ -306,7 +312,7 @@ class PlasticLogPosterior:
                 return -np.inf
             try:
                 s = uniaxial_response(ke, kappa_p, eps)
-            except Exception:
+            except CalibrixError:
                 return -np.inf
             r = s - stress
             return -0.5 * float(r @ r) / sigma**2

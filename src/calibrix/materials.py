@@ -5,6 +5,7 @@ plane-stress reduction, and a small-strain von Mises viscoplasticity model
 with Armstrong-Frederick kinematic hardening.  The viscoplastic update uses
 an elastic-predictor / inelastic-corrector scheme whose corrector reduces to
 a single scalar equation through the radial-return structure of the model.
+The uniaxial driver solves the rate-independent limit in closed form.
 """
 
 from __future__ import annotations
@@ -414,21 +415,74 @@ def uniaxial_plastic_driver(
     """Displacement-controlled uniaxial tension of a single material point.
 
     Drives the axial strain through ``axial_strain`` (which must start at 0)
-    and solves, at every step, for the lateral strain such that the
-    transverse stresses vanish: a secant iteration seeded with the elastic
-    slope d(sigma22)/d(eps_lat).  Each evaluation of the transverse stress is
-    one :func:`_uniaxial_step`, the scalar form of
-    :func:`integrate_viscoplastic_step` for diagonal states, with bit-identical
-    results; the state and stress of the step are those of the last
-    (converged) evaluation.  The state does not change across a step's
-    evaluations, so its backstress diagonal and X:X are built once per step.
-    Returns the axial stress history, the lateral strain history, and the
-    final state.
+    with the transverse stresses held at zero.  Returns the axial stress
+    history, the lateral strain history, and the final state.
 
-    ``dt`` is a scalar step duration or an array of length ``len(axial_strain) - 1``.
-    Strains and step sizes are read as Python floats, as the parameters are
-    stored, so every step runs on Python-float arithmetic.
+    For eta = 0 the return map is solved in closed form.  In uniaxial stress
+    every deviatoric tensor is proportional to diag(1, -1/2, -1/2), so the
+    model reduces to the axial plastic strain p and y = 1.5 X_ax (Simo &
+    Hughes, Computational Inelasticity, 1998, ch. 1-2).  Each step takes the
+    trial stress s* = E(eps - p), xi* = s* - y and phi = |xi*| - k; when
+    phi > 0, the increment D = |dp| is the positive root of
+    E b D^2 + B D - phi = 0 with B = E + 1.5c - b(sign(xi*) s* - k), taken in
+    its cancellation-free form.  The lateral strain follows from the elastic
+    law and plastic incompressibility, and the final state is
+    p diag(1, -1/2, -1/2) and (y/1.5) diag(1, -1/2, -1/2).  This is the
+    3x3 model of :func:`integrate_viscoplastic_step` at the exact lateral
+    strain, so it agrees with the secant path to that path's tolerance.
+
+    For eta > 0 each step solves for the lateral strain such that the
+    transverse stress vanishes, by :func:`_uniaxial_secant_driver`;
+    ``lateral_tol`` and ``max_iter`` apply to that path only.
+
+    ``dt`` is a scalar step duration or an array of length ``len(axial_strain) - 1``;
+    a non-positive step raises IntegrationError at that step.  Strains and
+    step sizes are read as Python floats, as the parameters are stored, so
+    every step runs on Python-float arithmetic.
     """
+    if not pp.rate_independent:
+        return _uniaxial_secant_driver(axial_strain, dt, ep, pp, lateral_tol, max_iter)
+    eps, dts = _driver_inputs(axial_strain, dt)
+    if not np.isfinite(eps).all():
+        raise DriverError("axial strain history must be finite")
+    n = eps.size
+    E, K, G = ep.E, ep.bulk, ep.shear
+    k, b, c15 = pp.k, pp.b, 1.5 * pp.c
+    lat_e, lat_p, lat_d = 3.0 * K - 2.0 * G, 3.0 * G, 6.0 * K + 2.0 * G
+    eps_ax = eps.tolist()
+    sigma_ax = [0.0] * n
+    eps_lat = [0.0] * n
+    p = y = arc = 0.0
+
+    for i in range(1, n):
+        if dts[i - 1] <= 0.0:
+            raise IntegrationError(f"step size must be positive, got dt={dts[i - 1]}")
+        e = eps_ax[i]
+        sig = E * (e - p)
+        xi = sig - y
+        s = 1.0 if xi > 0.0 else -1.0
+        phi = s * xi - k
+        if phi > 0.0:
+            B = E + c15 - b * (s * sig - k)
+            root = math.sqrt(B * B + 4.0 * E * b * phi)
+            d = 2.0 * phi / (B + root) if B >= 0.0 else (root - B) / (2.0 * E * b)
+            p += s * d
+            y = (y + c15 * s * d) / (1.0 + b * d)
+            arc += d
+            sig = E * (e - p)
+        sigma_ax[i] = sig
+        eps_lat[i] = -(lat_e * e + lat_p * p) / lat_d
+
+    x = y / 1.5
+    final = MaterialState(viscous_strain=np.diag([p, -0.5 * p, -0.5 * p]),
+                          backstress=np.diag([x, -0.5 * x, -0.5 * x]), arc_length=arc)
+    return np.array(sigma_ax), np.array(eps_lat), final
+
+
+def _driver_inputs(axial_strain, dt) -> tuple[np.ndarray, list]:
+    """The strain history as a float array and the step sizes as a list of
+    Python floats, one per step; raises DriverError for a history that is
+    not a non-empty 1-d array starting at 0."""
     eps = np.asarray(axial_strain, dtype=float)
     if eps.ndim != 1 or eps.size == 0:
         raise DriverError("axial strain history must be a non-empty 1-d array")
@@ -436,6 +490,32 @@ def uniaxial_plastic_driver(
         raise DriverError(f"strain history must start at 0, got {eps[0]}")
     n = eps.size
     dts = np.broadcast_to(np.asarray(dt, dtype=float), (n - 1,)).tolist() if n > 1 else []
+    return eps, dts
+
+
+def _uniaxial_secant_driver(
+    axial_strain: np.ndarray,
+    dt,
+    ep: ElasticParams,
+    pp: PlasticParams,
+    lateral_tol: float | None = None,
+    max_iter: int = 30,
+) -> tuple[np.ndarray, np.ndarray, MaterialState]:
+    """:func:`uniaxial_plastic_driver` by a secant iteration on the lateral strain.
+
+    Solves, at every step, for the lateral strain such that the transverse
+    stresses vanish, seeded with the elastic slope d(sigma22)/d(eps_lat), to
+    ``|sigma22| <= lateral_tol`` (default 1e-9 k) in at most ``max_iter``
+    secant updates.  Each evaluation of the transverse stress is one
+    :func:`_uniaxial_step`, the scalar form of :func:`integrate_viscoplastic_step`
+    for diagonal states, with bit-identical results; the state and stress of
+    the step are those of the last (converged) evaluation.  The state does
+    not change across a step's evaluations, so its backstress diagonal and
+    X:X are built once per step.  The driver runs it for eta > 0; for
+    eta = 0 it is the reference that the closed form is tested against.
+    """
+    eps, dts = _driver_inputs(axial_strain, dt)
+    n = eps.size
     tol = lateral_tol if lateral_tol is not None else 1e-9 * pp.k
 
     K, G = ep.bulk, ep.shear

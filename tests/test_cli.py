@@ -208,6 +208,32 @@ class TestUq:
             assert f"{name} = " in report
         assert "Delta = " in report and "delta = " in report
 
+    def test_two_step_matches_secant_path(self, tmp_path, monkeypatch):
+        # The closed-form return map moves the plastic estimates by far less
+        # than their reported uncertainty: within 1e-3 of each delta of the
+        # run with the secant path that it replaced for eta = 0.
+        import calibrix.benchmarks as benchmarks
+        import calibrix.materials as materials
+
+        def estimates(name):
+            cfg = write_config(tmp_path, f"{name}.cfg", seed=0, report_out=f"{name}.txt")
+            assert main(["uq", "-c", cfg, "--method", "two-step"]) == 0
+            out = {}
+            for line in (tmp_path / f"{name}.txt").read_text().splitlines():
+                words = line.split()
+                if words and words[0] in ("k", "b", "c"):
+                    out[words[0]] = (float(words[2]), float(words[-1]))
+            return out
+
+        monkeypatch.chdir(tmp_path)
+        closed = estimates("closed")
+        monkeypatch.setattr(benchmarks, "uniaxial_plastic_driver",
+                            materials._uniaxial_secant_driver)
+        secant = estimates("secant")
+        assert sorted(closed) == ["b", "c", "k"] and closed != secant
+        for name, (value, delta) in secant.items():
+            assert abs(closed[name][0] - value) <= 1e-3 * delta
+
     def test_bayes_chain_csv(self, workdir, generated):
         cfg = write_config(
             workdir, "uqb.cfg",

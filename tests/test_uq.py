@@ -393,6 +393,38 @@ class TestHierarchicalBayes:
         ]
         assert np.array_equal(runs[0].pooled, runs[1].pooled)
 
+    def test_programming_error_fails_its_inner_chain(self, twostep_data, monkeypatch):
+        # A typed failure of the point model is zero posterior density; any
+        # other exception is a programming error: it fails the inner chain
+        # that met it, and its text lands in ``failures``.
+        import calibrix.benchmarks as benchmarks
+        from calibrix.errors import DriverError
+
+        make_log_post = PlasticLogPosterior(twostep_data, self.lower, self.upper)
+        kappa_e = np.array([TWOSTEP_TRUTH["K"], TWOSTEP_TRUTH["G"]])
+        kappa_p = np.array([TWOSTEP_TRUTH["k"], TWOSTEP_TRUTH["b"], TWOSTEP_TRUTH["c"]])
+        errors = [TypeError("unsupported operand"), DriverError("lateral-strain iteration failed")]
+
+        def failing(ke, kp, eps):
+            if errors:
+                raise errors.pop(0)
+            return uniaxial_response(ke, kp, eps)
+
+        monkeypatch.setattr(benchmarks, "uniaxial_response", failing)
+        log_post = make_log_post(kappa_e)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            log_post(kappa_p)
+        assert log_post(kappa_p) == -np.inf
+        assert np.isfinite(log_post(kappa_p))
+
+        errors.append(TypeError("unsupported operand"))  # the first chain's first point
+        with pytest.warns(UserWarning, match="inner chain failed"):
+            res = hierarchical_two_step_bayes(np.tile(kappa_e, (2, 1)), make_log_post,
+                                              self.lower, self.upper, n_outer=2,
+                                              n_walkers=8, n_steps=5, seed=3)
+        assert res.failures == [(0, "unsupported operand")]
+        assert res.means.shape == (1, 3)
+
     def test_jobs_do_not_change_failures(self):
         # A failing inner chain is skipped and counted on both paths, with the
         # same warning; the worker returns its failure instead of raising it.
