@@ -67,6 +67,12 @@ def plate_displacements(case: PlateCase, E: float, nu: float) -> np.ndarray:
     return case.part.merge(u, case.ubar)
 
 
+def _observation_layout(case: PlateCase) -> np.ndarray:
+    """Positions of the u1 components, then of the u2 components."""
+    n_dofs = case.coarse.n_dofs
+    return np.concatenate([np.arange(0, n_dofs, 2), np.arange(1, n_dofs, 2)])
+
+
 def plate_forward_model(case: PlateCase) -> ForwardModel:
     """Reduced parameter-to-observable map kappa = (E, nu) -> displacements.
 
@@ -74,9 +80,7 @@ def plate_forward_model(case: PlateCase) -> ForwardModel:
     measurement nodes, then the u2 block.
     """
 
-    n_dofs = case.coarse.n_dofs
-    # Positions of the u1 components, then of the u2 components.
-    layout = np.concatenate([np.arange(0, n_dofs, 2), np.arange(1, n_dofs, 2)])
+    layout = _observation_layout(case)
 
     def simulate(kappa):
         return plate_displacements(case, kappa[0], kappa[1])[layout]
@@ -96,16 +100,31 @@ def plate_log_posterior(case: PlateCase, data: ObservationSet, sigma_e: float,
 
     The noise level is prescribed, not inferred; only the displacement blocks
     enter the likelihood.
+
+    The plate is solved through the stiffness pencil's spectrum
+    (``StiffnessDecomposition.spectral_solver``), not by a sparse LU per call:
+    after a dense set-up on the first call of this function, an evaluation
+    costs two dense matrix-vector products and the LU path's residual check.
+    The values match ``plate_forward_model`` to rounding.  An evaluation whose
+    spectral solution fails that check calls ``plate_displacements``, the LU
+    path, instead; so every kappa the LU path accepts is accepted, and a
+    singular kappa raises the LU path's SolverError.
     """
-    model = plate_forward_model(case)
     d, _, _ = data.select(("u1", "u2"))
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    layout = _observation_layout(case)
+    solve = case.decomp.spectral_solver(case.pbar, case.ubar)
 
     def log_post(kappa):
         if np.any(kappa < lower) or np.any(kappa > upper):
             return -np.inf
-        r = model(kappa) - d
+        u = solve(c_coords_from_E_nu(kappa[0], kappa[1]))
+        if u is None:
+            full = plate_displacements(case, kappa[0], kappa[1])
+        else:
+            full = case.part.merge(u, case.ubar)
+        r = full[layout] - d
         return -0.5 * float(r @ r) / sigma_e**2
 
     return log_post

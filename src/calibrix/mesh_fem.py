@@ -329,6 +329,18 @@ def _factor(K: sp.csc_matrix, permc_spec: str = "COLAMD"):
         ) from None
 
 
+def _inaccurate(x: np.ndarray, r: np.ndarray, rhs: np.ndarray) -> float | None:
+    """Relative residual ||r|| / ||rhs|| of a solution x with residual r when
+    x is not finite or that residual exceeds 1e-8; None when x passes."""
+    # The ddot and sqrt that np.linalg.norm runs on a vector, without its
+    # dispatch overhead.
+    scale = math.sqrt(rhs @ rhs)
+    resid = math.sqrt(r @ r)
+    if not np.all(np.isfinite(x)) or (scale > 0 and resid > 1e-8 * scale):
+        return resid / max(scale, 1e-300)
+    return None
+
+
 def _factor_solve(K: sp.csc_matrix, rhs: np.ndarray, permc_spec: str = "COLAMD"):
     """Factor K and solve K x = rhs; returns (x, lu).
 
@@ -337,14 +349,10 @@ def _factor_solve(K: sp.csc_matrix, rhs: np.ndarray, permc_spec: str = "COLAMD")
     """
     lu = _factor(K, permc_spec)
     x = lu.solve(rhs)
-    # The ddot and sqrt that np.linalg.norm runs on a vector, without its
-    # dispatch overhead.
-    scale = math.sqrt(rhs @ rhs)
-    r = K @ x - rhs
-    resid = math.sqrt(r @ r)
-    if not np.all(np.isfinite(x)) or (scale > 0 and resid > 1e-8 * scale):
+    resid = _inaccurate(x, K @ x - rhs, rhs)
+    if resid is not None:
         raise SolverError(
-            f"linear solve inaccurate (relative residual {resid / max(scale, 1e-300):.3e}); "
+            f"linear solve inaccurate (relative residual {resid:.3e}); "
             f"condition estimate {_condition_estimate(K, lu):.3e}"
         )
     return x, lu
@@ -530,6 +538,11 @@ class StiffnessDecomposition:
     ``splu(stiffness(kappa).K.tocsc()).solve(pbar - stiffness(kappa).Kbar @ ubar)``
     bit for bit unless an entry of K(kappa) or Kbar(kappa) cancels to exactly
     0: scipy's sparse ``+`` drops such an entry, the cached pattern keeps it.
+
+    ``spectrum`` caches, on first use, the eigenpairs of the pencil
+    (K_b, K_a), which diagonalize K(kappa) for every kappa at once;
+    ``spectral_solver`` solves through them where many kappa share one
+    right-hand side, as a sampler's do.
     """
 
     mesh: Mesh
@@ -578,6 +591,66 @@ class StiffnessDecomposition:
         u = np.empty_like(y)
         u[c.order] = y
         return u, lu
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Eigenpairs (lam, V) of the pencil (K_b, K_a): K_b V = K_a V diag(lam)
+        and V^T K_a V = I, so K(kappa)^-1 = V diag(1 / (kappa_0 + kappa_1 lam)) V^T
+        exactly (Golub & Van Loan, Matrix Computations, 8.7).
+
+        K_a is symmetric positive definite (its C basis is diag(1, 1, 1/2)),
+        and lam lies in [-1, 1]; K(kappa) is singular where
+        kappa_0 + kappa_1 lam vanishes, at C11 = +-C12 among others.  Computed
+        on first use with numpy.linalg alone: the Cholesky factor L of dense
+        K_a, the symmetric eigenproblem L^-1 K_b L^-T W = W diag(lam), and
+        V = L^-T W.  Dense: O(n_free^2) memory, O(n_free^3) time.  None when
+        K_a is not positive definite (a mesh with a rigid body mode) or the
+        eigensolver fails.
+        """
+        a, b = self.blocks
+        try:
+            L = np.linalg.cholesky(a.K.toarray())
+            # L^-1 K_b L^-T, as L^-1 (L^-1 K_b)^T since K_b is symmetric.
+            M = np.linalg.solve(L, np.linalg.solve(L, b.K.toarray()).T)
+            lam, W = np.linalg.eigh(M)
+            del M
+            return lam, np.linalg.solve(L.T, W)
+        except np.linalg.LinAlgError:
+            return None
+
+    def spectral_solver(self, pbar, ubar):
+        """Solver kappa -> free-dof displacements u of
+        K(kappa) u = pbar - Kbar(kappa) ubar through ``spectrum``.
+
+        With c = V^T pbar, c_a = V^T Kbar_a ubar and c_b = V^T Kbar_b ubar,
+        u = V [(c - kappa_0 c_a - kappa_1 c_b) / (kappa_0 + kappa_1 lam)]: two
+        dense matrix-vector products, no factorization.  The solver returns
+        None where ``solve`` would not accept u: u not finite, or its relative
+        residual, with K(kappa) u formed as kappa_0 (K_a u) + kappa_1 (K_b u),
+        above 1e-8.  It returns None for every kappa when there is no
+        spectrum.  The caller then solves by LU, which accepts or raises
+        SolverError as it always does.
+        """
+        if self.spectrum is None:
+            return lambda kappa: None
+        lam, V = self.spectrum
+        a, b = self.blocks
+        pbar = np.asarray(pbar, dtype=float)
+        ubar = np.asarray(ubar, dtype=float)
+        fa, fb = a.Kbar @ ubar, b.Kbar @ ubar
+        c, ca, cb = V.T @ pbar, V.T @ fa, V.T @ fb
+
+        def solve(kappa):
+            k0, k1 = kappa
+            # A singular or non-finite kappa gives inf or nan here; the check
+            # rejects it, so numpy need not warn.
+            with np.errstate(all="ignore"):
+                u = V @ ((c - k0 * ca - k1 * cb) / (k0 + k1 * lam))
+                rhs = pbar - (k0 * fa + k1 * fb)
+                r = k0 * (a.K @ u) + k1 * (b.K @ u) - rhs
+                return None if _inaccurate(u, r, rhs) is not None else u
+
+        return solve
 
     def a_matrices(self, u, ubar) -> tuple[np.ndarray, np.ndarray]:
         """A_S and Abar_S columns as stiffness-block matvecs."""

@@ -296,22 +296,38 @@ class TestUq:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["uqh.cfg"]
 
     @pytest.mark.parametrize("method, keys, flags, message", [
-        ("hierarchical", dict(n_outer=0), [], "need at least one outer draw, got n_outer=0"),
-        ("hierarchical", dict(steps=0), [], "need at least one step, got 0"),
-        ("hierarchical", {}, ["--jobs", "0"], "need at least one job, got jobs=0"),
-        ("hierarchical", {}, ["--jobs", "-3"], "need at least one job, got jobs=-3"),
-        ("bayes", dict(steps=0), [], "need at least one step, got 0"),
-    ], ids=["n_outer=0", "steps=0", "jobs=0", "jobs=-3", "bayes-steps=0"])
+        ("hierarchical", dict(n_outer=0), [],
+         "error: need at least one outer draw, got n_outer=0"),
+        ("hierarchical", dict(steps=0), [], "error: need at least one step, got 0"),
+        ("hierarchical", {}, ["--jobs", "0"], "error: need at least one job, got jobs=0"),
+        ("hierarchical", {}, ["--jobs", "-3"], "error: need at least one job, got jobs=-3"),
+        ("bayes", dict(steps=0), [], "error: need at least one step, got 0"),
+        ("bayes", dict(sigma_e=0), [],
+         "config error: sigma_e must be positive and finite, got 0.0"),
+        ("bayes", dict(sigma_e=-2e-4), [],
+         "config error: sigma_e must be positive and finite, got -0.0002"),
+        ("bayes", dict(sigma_e="nan"), [],
+         "config error: sigma_e must be positive and finite, got nan"),
+        ("bayes", dict(prior_variation=-0.1), [],
+         "config error: prior_variation must lie in (0, 1), got -0.1"),
+        ("bayes", dict(prior_variation=1.0), [],
+         "config error: prior_variation must lie in (0, 1), got 1.0"),
+    ], ids=["n_outer=0", "steps=0", "jobs=0", "jobs=-3", "bayes-steps=0", "sigma_e=0",
+            "sigma_e<0", "sigma_e=nan", "prior_variation<0", "prior_variation=1"])
     def test_empty_sampler_run_exits_2(self, workdir, generated, capsys,
                                        method, keys, flags, message):
+        report = workdir / "uq_empty.txt"
+        report.unlink(missing_ok=True)
         cfg = write_config(
             workdir, "uq_empty.cfg", **(dict(
                 seed=0, n_outer=2, walkers=8, steps=10,
                 mesh_file=str(workdir / "plate.mesh"), data=str(workdir / "data.csv"),
-                sigma_e=2e-4, report_out=str(workdir / "uq_empty.txt")) | keys),
+                sigma_e=2e-4, chain_out=str(workdir / "uq_empty.csv"),
+                report_out=str(report)) | keys),
         )
         assert main(["uq", "-c", cfg, "--method", method, *flags]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == message + "\n"
+        assert not report.exists()
 
     def test_missing_data_artifact_exits_2(self, workdir, capsys):
         cfg = write_config(
@@ -415,22 +431,28 @@ def test_point_model_commands_load_no_sparse_stack(tmp_path):
     assert loaded == []
 
 
-@pytest.mark.parametrize("method, sparse", [("vfm", False), ("reduced", True)])
+@pytest.mark.parametrize("method, sparse", [("vfm", False), ("reduced", True),
+                                            ("bayes", True)])
 def test_calibrate_loads_scipy_only_to_factor(workdir, generated, tmp_path, method, sparse):
     """The mesh files, the CSV reader and the VFM solve run on numpy alone.
 
     ``reduced`` factors K, and shows that the check can see scipy at all.
+    ``uq --method bayes`` builds the sparse stiffness blocks but factors
+    nothing: it solves through the pencil spectrum.
     """
     write_config(tmp_path, "cal.cfg", mesh_file=workdir / "plate.mesh",
-                 data=workdir / "data.csv", report_out="cal.txt")
+                 data=workdir / "data.csv", report_out="cal.txt",
+                 sigma_e=2e-4, walkers=8, steps=10, chain_out="chain.csv")
     script = ("from calibrix.meshes import quarter_plate_mesh\n"
               "from calibrix.mesh_fem import read_mesh_file, write_mesh_file\n"
               "write_mesh_file('q.mesh', quarter_plate_mesh(4, 3))\n"
               "assert read_mesh_file('q.mesh').n_elements == 12\n")
-    script += _run_commands([(["calibrate", "-c", "cal.cfg", "--method", method], 0)])
+    command = "uq" if method == "bayes" else "calibrate"
+    script += _run_commands([([command, "-c", "cal.cfg", "--method", method], 0)])
     loaded = _loaded_after(script, tmp_path, ("scipy",))
     if sparse:
-        assert "scipy.sparse.linalg" in loaded
+        assert "scipy.sparse" in loaded
+        assert ("scipy.sparse.linalg" in loaded) == (method == "reduced")
     else:
         assert loaded == []
     assert f"method = {method}" in (tmp_path / "cal.txt").read_text()

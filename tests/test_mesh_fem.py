@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,42 @@ class TestDecompositionSolve:
         decomp = StiffnessDecomposition.from_mesh(mesh, part)
         with pytest.raises(SolverError, match="condition estimate"):
             decomp.solve(KAPPA_STEEL, np.ones(part.n_free), np.zeros(0))
+        # K_a has rigid body modes, so there is no spectrum to solve through.
+        assert decomp.spectrum is None
+        assert decomp.spectral_solver(np.ones(part.n_free), np.zeros(0))(KAPPA_STEEL) is None
+
+
+class TestSpectrum:
+    def test_spectrum_diagonalizes_the_pencil(self, plate):
+        mesh, part = plate
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        lam, V = decomp.spectrum
+        K_a, K_b = (block.K.toarray() for block in decomp.blocks)
+        assert_allclose(V.T @ K_a @ V, np.eye(part.n_free), rtol=0.0, atol=1e-12)
+        assert np.abs(K_b @ V - (K_a @ V) * lam).max() <= 1e-12 * np.abs(K_b).max()
+        assert -1.0 - 1e-12 <= lam.min() and lam.max() <= 1.0 + 1e-12
+
+    def test_spectral_solver_matches_lu_solve(self, plate):
+        # A non-zero ubar exercises the Kbar ubar terms (the plate's own ubar is 0).
+        mesh, part = plate
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        pbar = applied_forces(mesh, part)
+        ubar = np.random.default_rng(8).uniform(-1e-3, 1e-3, part.n_prescribed)
+        solve = decomp.spectral_solver(pbar, ubar)
+        for kappa in _plate_bayes_kappas(20, seed=19):
+            u_lu, _ = decomp.solve(kappa, pbar, ubar)
+            assert np.linalg.norm(solve(kappa) - u_lu) <= 1e-12 * np.linalg.norm(u_lu)
+
+    @pytest.mark.parametrize("kappa", [np.zeros(2), np.ones(2), np.array([1.0, -1.0]),
+                                       np.array([np.inf, np.inf]), np.array([np.nan, 1.0])],
+                             ids=["kappa=0", "C11=C12", "C11=-C12", "inf", "nan"])
+    def test_spectral_solver_rejects_singular_coefficients(self, plate, kappa):
+        mesh, part = plate
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        solve = decomp.spectral_solver(applied_forces(mesh, part), prescribed_values(mesh, part))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve(kappa) is None
 
 
 class TestVfmSystem:

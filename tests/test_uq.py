@@ -13,11 +13,13 @@ from calibrix.benchmarks import (
     TWOSTEP_TRUTH,
     fit_plastic,
     plastic_forward_model,
+    plate_log_posterior,
     two_step_identify,
     uniaxial_response,
 )
-from calibrix.errors import DivergenceError, NumericalError, ParameterError
+from calibrix.errors import DivergenceError, NumericalError, ParameterError, SolverError
 from calibrix.identify_reduced import ForwardModel, jacobian_external_nd, solve_nls
+from calibrix.materials import c_coords_from_E_nu
 from calibrix.uq import (
     covariance_and_ci,
     ensemble_sample,
@@ -28,6 +30,7 @@ from calibrix.uq import (
     two_step_covariance,
     z_value,
 )
+from oracle_posterior import lu_plate_log_posterior
 
 
 class TestHessianAndIdentifiability:
@@ -272,6 +275,78 @@ class TestBernsteinVonMises:
             ratios.append(chain.std()[0] / nls.std[0])
         deviations = [abs(r - 1.0) for r in ratios]
         assert deviations[0] > deviations[1] > deviations[2]
+
+
+class TestPlateLogPosterior:
+    """The spectral plate posterior against the LU oracle it replaced."""
+
+    BOX = (np.array([0.9 * 210000.0, 0.27]), np.array([1.1 * 210000.0, 0.33]))
+
+    def test_matches_lu_oracle_in_the_box(self, plate_small, plate_small_noisy):
+        lower, upper = self.BOX
+        spectral = plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
+        oracle = lu_plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
+        for kappa in np.random.default_rng(21).uniform(lower, upper, size=(100, 2)):
+            expected = oracle(kappa)
+            assert abs(spectral(kappa) - expected) <= 1e-10 * abs(expected), kappa
+        outside = np.array([1.2 * 210000.0, 0.3])
+        assert spectral(outside) == oracle(outside) == -np.inf
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chain_identical_to_lu_chain(self, plate_small, plate_small_noisy, seed):
+        lower, upper = self.BOX
+        chains = [
+            ensemble_sample(make(plate_small, plate_small_noisy, 4e-4, lower, upper),
+                            lower, upper, n_walkers=10, n_steps=20, seed=seed)
+            for make in (plate_log_posterior, lu_plate_log_posterior)
+        ]
+        spectral, lu = chains
+        assert np.array_equal(spectral.samples.view(np.int64), lu.samples.view(np.int64))
+        assert np.array_equal(spectral.accepted, lu.accepted)
+        assert_allclose(spectral.log_posts, lu.log_posts, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("nu", [1.0, -1.0, 0.999999999, -0.999999])
+    def test_near_singular_points_give_the_lu_result(self, plate_small, plate_small_noisy,
+                                                     nu):
+        # The box is widened to hold C11 = +-C12, where K(kappa) is singular.
+        lower, upper = np.array([1e4, -1.0]), np.array([1e6, 1.0])
+        outcomes = []
+        for make in (plate_log_posterior, lu_plate_log_posterior):
+            log_post = make(plate_small, plate_small_noisy, 4e-4, lower, upper)
+            try:
+                # At nu = +-1, C11 = E / (1 - nu^2) is inf, and K(kappa) nan.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    outcomes.append(log_post(np.array([210000.0, nu])))
+            except SolverError as exc:
+                outcomes.append(str(exc))
+        spectral, lu = outcomes
+        if isinstance(lu, str):
+            assert spectral == lu
+        else:
+            # Both solves are backward stable, so each value is only good to
+            # about cond(K) * eps here (cond(K) is near 2e8 at nu = -0.999999).
+            K = plate_small.decomp.stiffness(c_coords_from_E_nu(210000.0, nu)).K
+            tol = max(1e-10, np.linalg.cond(K.toarray()) * np.finfo(float).eps)
+            assert abs(spectral - lu) <= tol * abs(lu)
+
+    def test_rejected_spectral_solve_falls_back_to_lu(self, monkeypatch, plate_small,
+                                                      plate_small_noisy):
+        import calibrix.benchmarks as benchmarks
+        from calibrix.mesh_fem import StiffnessDecomposition
+
+        lower, upper = self.BOX
+        oracle = lu_plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
+        kappas = np.random.default_rng(22).uniform(lower, upper, size=(5, 2))
+        expected = [oracle(kappa) for kappa in kappas]
+        monkeypatch.setattr(StiffnessDecomposition, "spectral_solver",
+                            lambda self, pbar, ubar: lambda kappa: None)
+        calls = []
+        lu_displacements = benchmarks.plate_displacements
+        monkeypatch.setattr(benchmarks, "plate_displacements",
+                            lambda *args: calls.append(args) or lu_displacements(*args))
+        log_post = plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
+        assert [log_post(kappa) for kappa in kappas] == expected
+        assert len(calls) == len(kappas)
 
 
 class _GaussianConditional:
