@@ -338,12 +338,18 @@ def cmd_uq(cfg: Config, method: str, jobs: int = 1) -> int:
         variation = cfg.get_float("prior_variation", 0.10)
         if not 0.0 < variation < 1.0:
             raise ConfigError(f"prior_variation must lie in (0, 1), got {variation!r}")
+        prior_E = cfg.get_float("prior_E", 210000.0)
+        if not 0.0 < prior_E < float("inf"):
+            raise ConfigError(f"prior_E must be positive and finite, got {prior_E!r}")
+        prior_nu = cfg.get_float("prior_nu", 0.3)
+        if not -1.0 < prior_nu < 0.5:
+            raise ConfigError(f"prior_nu must lie in (-1, 0.5), got {prior_nu!r}")
         mesh, part, data = _calibration_inputs(cfg)
         case = _reduced_case(mesh, part)
-        center = np.array([cfg.get_float("prior_E", 210000.0),
-                           cfg.get_float("prior_nu", 0.3)])
-        lower = center * (1.0 - variation)
-        upper = center * (1.0 + variation)
+        center = np.array([prior_E, prior_nu])
+        # A negative prior_nu turns the two ends of its box around.
+        ends = (center * (1.0 - variation), center * (1.0 + variation))
+        lower, upper = np.minimum(*ends), np.maximum(*ends)
         log_post = plate_log_posterior(case, data, sigma_e, lower, upper)
         chain = ensemble_sample(
             log_post, lower, upper,

@@ -72,31 +72,15 @@ class AaoOperators:
         self.p_vec[-1] = root * p_check
         self.n_rows = len(zero) + 1
         self.n_u = part.n_free
-        self._orders = {}  # CSC pattern -> column order
 
     def k_fr(self, kappa) -> sp.csr_matrix:
         return (kappa[0] * self.K_fr[0] + kappa[1] * self.K_fr[1]).tocsr()
 
     def solve(self, M: sp.csc_matrix, r: np.ndarray) -> np.ndarray:
-        """x with M x = r, bit for bit ``splu(M).solve(r)``.
-
-        The solvers' two sparse systems, K K^T of the minimum-norm correction
-        and the normal matrix of the state subproblem, are solved here.
-        COLAMD looks only at the pattern, so the first factorization of each
-        pattern (sparse products drop entries that cancel to 0) fixes its
-        column order; later ones factor M[:, order] in natural order, as
-        ``StiffnessDecomposition.solve`` does.
-        """
-        key = (M.shape, M.indptr.tobytes(), M.indices.tobytes())
-        order = self._orders.get(key)
-        if order is None:
-            lu = _factor(M)
-            self._orders[key] = np.argsort(lu.perm_c)
-            return lu.solve(r)
-        y = _factor(M[:, order], permc_spec="NATURAL").solve(r)
-        x = np.empty_like(y)
-        x[order] = y
-        return x
+        """x with M x = r, for the solvers' two sparse systems: K K^T of the
+        minimum-norm correction and the normal matrix of the state
+        subproblem.  SolverError only when M does not factor."""
+        return _factor(M).solve(r)
 
     def physics_residual(self, u, kappa) -> np.ndarray:
         return self.a_cols(u) @ kappa - self.p_vec

@@ -149,7 +149,7 @@ def solve_nls(
     message = "max iterations reached"
     iterations = 0
 
-    J = None
+    J = None  # the Jacobian at kappa; None once kappa has moved past it
     for iterations in range(1, max_iter + 1):
         J = jacobian_external_nd(model, kappa, nd_steps, base=s)
         n_evals += model.n_params
@@ -187,14 +187,16 @@ def solve_nls(
         dphi = phi - phi_new
         dx = np.linalg.norm(kappa_new - kappa)
         kappa, s, rw, phi = kappa_new, s_new, rw_new, phi_new
+        J = None
         history.append(phi)
         if dphi <= ftol * max(phi, 1e-30) or dx <= xtol * (1.0 + np.linalg.norm(kappa)):
             converged = True
             message = "step/function change below tolerance"
             break
 
-    J = jacobian_external_nd(model, kappa, nd_steps, base=s)
-    n_evals += model.n_params
+    if J is None:
+        J = jacobian_external_nd(model, kappa, nd_steps, base=s)
+        n_evals += model.n_params
     Jw = W[:, None] * J
     H = Jw.T @ Jw
     r = s - d
@@ -329,7 +331,7 @@ def reduced2_multiplier_residual(decomp, data, kappa_c, pbar, ubar) -> float:
     d_u, W_u = data
     u, lu = decomp.solve(kappa_c, pbar, ubar)
     rhs = -(W_u**2) * (u - d_u)
-    lam_u = lu.solve(rhs[decomp.column_order], trans="T")
+    lam_u = lu.solve(rhs, trans="T")
     a_s, _ = decomp.a_matrices(u, ubar)
     resid = a_s.T @ lam_u
     scale = 1.0 + np.linalg.norm(a_s.T @ ((W_u**2) * d_u))

@@ -316,12 +316,20 @@ def _condition_estimate(K: sp.spmatrix, lu=None) -> float:
         np.random.set_state(rng_state)
 
 
-def _factor(K: sp.csc_matrix, permc_spec: str = "COLAMD"):
-    """SuperLU factors of K; SolverError with a condition estimate if singular."""
+def _factor(K: sp.csc_matrix):
+    """SuperLU factors of K; SolverError with a condition estimate if singular.
+
+    Every matrix calibrix factors is symmetric positive definite: K(kappa),
+    K_fr K_fr^T and the AAO state subproblem's normal matrix.  So SuperLU runs
+    in symmetric mode, with a minimum-degree order of K + K^T and diagonal
+    pivots; ``_factor_solve``'s residual check catches the inaccurate factors
+    this can give for an indefinite K.
+    """
     import scipy.sparse.linalg as spla
 
     try:
-        return spla.splu(K, permc_spec=permc_spec)
+        return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(
             f"sparse factorization failed ({exc}); "
@@ -341,13 +349,13 @@ def _inaccurate(x: np.ndarray, r: np.ndarray, rhs: np.ndarray) -> float | None:
     return None
 
 
-def _factor_solve(K: sp.csc_matrix, rhs: np.ndarray, permc_spec: str = "COLAMD"):
+def _factor_solve(K: sp.csc_matrix, rhs: np.ndarray):
     """Factor K and solve K x = rhs; returns (x, lu).
 
     Raises SolverError with a condition estimate when the factorization fails
     or the relative residual of x exceeds 1e-8.
     """
-    lu = _factor(K, permc_spec)
+    lu = _factor(K)
     x = lu.solve(rhs)
     resid = _inaccurate(x, K @ x - rhs, rhs)
     if resid is not None:
@@ -466,78 +474,14 @@ def assemble_vfm_system(
     return VfmSystem(A=A, p_vec=p_vec, sigma_r=sigma_r)
 
 
-def _shared_pattern(x: sp.csr_matrix, y: sp.csr_matrix) -> None:
-    if not (x.has_canonical_format and np.array_equal(x.indptr, y.indptr)
-            and np.array_equal(x.indices, y.indices)):
-        raise SolverError("the coefficient blocks of the stiffness do not share one pattern")
-
-
-@dataclass(frozen=True, eq=False)
-class _SolvePattern:
-    """The containers K(kappa)[:, order] (CSC) and Kbar(kappa) (CSR) that
-    ``StiffnessDecomposition.solve`` refills, and the two blocks' data in each
-    container's layout.  The containers own their data arrays, so refilling
-    them changes no block."""
-
-    order: np.ndarray
-    K: sp.csc_matrix
-    k_data: tuple
-    Kbar: sp.csr_matrix
-    kbar_data: tuple
-
-    @classmethod
-    def from_blocks(cls, a: PartitionedStiffness, b: PartitionedStiffness) -> "_SolvePattern":
-        import scipy.sparse as sp
-
-        _shared_pattern(a.K, b.K)
-        _shared_pattern(a.Kbar, b.Kbar)
-        # COLAMD looks only at the pattern, so one factorization fixes the
-        # column order; SuperLU applies its perm_c as K[:, argsort(perm_c)].
-        order = np.argsort(_factor(a.K.tocsc()).perm_c)
-        # Entry positions 1..nnz of the CSR data, carried to the CSC layout of
-        # K[:, order] (each column keeps its rows ascending).
-        index = sp.csr_matrix(
-            (np.arange(1.0, a.K.nnz + 1.0), a.K.indices, a.K.indptr), shape=a.K.shape
-        ).tocsc()[:, order]
-        to_csc = index.data.astype(np.int64) - 1
-        K = sp.csc_matrix(
-            (np.empty(a.K.nnz), index.indices.astype(np.intc), index.indptr.astype(np.intc)),
-            shape=a.K.shape,
-        )
-        Kbar = sp.csr_matrix(
-            (np.empty(a.Kbar.nnz), a.Kbar.indices, a.Kbar.indptr), shape=a.Kbar.shape
-        )
-        return cls(
-            order=order,
-            K=K,
-            k_data=(a.K.data[to_csc], b.K.data[to_csc]),
-            Kbar=Kbar,
-            kbar_data=(a.Kbar.data, b.Kbar.data),
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class StiffnessDecomposition:
-    """Cache of the stiffness blocks split by elasticity coefficient.
+    """The stiffness blocks split by elasticity coefficient.
 
-    K(kappa) = kappa_1 K_a + kappa_2 K_b (same for the other blocks), so
-    repeated solves and the equilibrium-map columns cost only sparse
-    combinations.  ``solve`` caches on first use what no kappa changes: the
-    CSC pattern that K_a and K_b share, with the COLAMD column order of one
-    SuperLU factorization folded in, both blocks' data in that layout, and
-    two sparse containers, one for K(kappa)[:, order] and one for Kbar(kappa)
-    (on the CSR pattern Kbar_a and Kbar_b share).  Each call refills the data
-    of both containers and factors K in that column order, permuting no rows.
-    Factors returned by an earlier call stay valid, since SuperLU keeps its
-    own copy of the matrix.  Because the containers are shared state, one
-    instance must not be used by several threads at once; worker processes
-    each hold their own copy.
-
-    ``stiffness`` is the reference that ``solve`` is held to: the result
-    equals
-    ``splu(stiffness(kappa).K.tocsc()).solve(pbar - stiffness(kappa).Kbar @ ubar)``
-    bit for bit unless an entry of K(kappa) or Kbar(kappa) cancels to exactly
-    0: scipy's sparse ``+`` drops such an entry, the cached pattern keeps it.
+    K(kappa) = kappa_1 K_a + kappa_2 K_b (same for the other blocks), so the
+    blocks at any kappa and the equilibrium-map columns cost only sparse
+    combinations.  ``solve`` factors ``stiffness(kappa).K`` afresh on each
+    call.
 
     ``spectrum`` caches, on first use, the eigenpairs of the pencil
     (K_b, K_a), which diagonalize K(kappa) for every kappa at once;
@@ -555,11 +499,7 @@ class StiffnessDecomposition:
         return cls(mesh=mesh, part=part, blocks=blocks)
 
     def stiffness(self, kappa) -> PartitionedStiffness:
-        """The three blocks at kappa, each formed by scipy's sparse arithmetic.
-
-        Independent of the containers ``solve`` refills; use it where the
-        blocks themselves are needed, or as the reference for ``solve``.
-        """
+        """The three blocks at kappa, each formed by scipy's sparse arithmetic."""
         a, b = self.blocks
         return PartitionedStiffness(
             K=(kappa[0] * a.K + kappa[1] * b.K).tocsr(),
@@ -567,30 +507,15 @@ class StiffnessDecomposition:
             Kbarbar=(kappa[0] * a.Kbarbar + kappa[1] * b.Kbarbar).tocsr(),
         )
 
-    @cached_property
-    def _pattern(self) -> _SolvePattern:
-        return _SolvePattern.from_blocks(*self.blocks)
-
-    @property
-    def column_order(self) -> np.ndarray:
-        """Column order of the factors ``solve`` returns: they are of K(kappa)[:, order]."""
-        return self._pattern.order
-
     def solve(self, kappa, pbar, ubar):
         """Free-dof displacements u of K(kappa) u = pbar - Kbar(kappa) ubar.
 
-        Returns (u, lu), where lu factors K(kappa)[:, column_order]; so
-        K(kappa)^T x = r is ``lu.solve(r[column_order], trans="T")``.  Raises
-        SolverError with a condition estimate like ``solve_linear``.
+        Returns (u, lu), where lu factors K(kappa).  Raises SolverError with a
+        condition estimate like ``solve_linear``.
         """
-        c = self._pattern
-        c.Kbar.data[:] = kappa[0] * c.kbar_data[0] + kappa[1] * c.kbar_data[1]
-        rhs = np.asarray(pbar, dtype=float) - c.Kbar @ np.asarray(ubar, dtype=float)
-        c.K.data[:] = kappa[0] * c.k_data[0] + kappa[1] * c.k_data[1]
-        y, lu = _factor_solve(c.K, rhs, permc_spec="NATURAL")
-        u = np.empty_like(y)
-        u[c.order] = y
-        return u, lu
+        stiff = self.stiffness(kappa)
+        rhs = np.asarray(pbar, dtype=float) - stiff.Kbar @ np.asarray(ubar, dtype=float)
+        return _factor_solve(stiff.K.tocsc(), rhs)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray] | None:

@@ -5,6 +5,7 @@ beside it, and synthetic observations generated on either)."""
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from calibrix.benchmarks import PlateCase
 from calibrix.mesh_fem import (
@@ -92,6 +93,12 @@ def uniaxial_patch_mesh(
     neumann = _edge_loads(ys, right, 0, traction * ly * thickness)
     return rectangle_mesh(nx, ny, lx, ly, thickness, distort=distort, seed=seed,
                           dirichlet=tuple(dirichlet), neumann=neumann)
+
+
+def general_lu(M):
+    """SuperLU at its defaults: COLAMD column order and partial pivoting,
+    blind to symmetry.  The oracle for calibrix's symmetric-mode factors."""
+    return spla.splu(M)
 
 
 @dataclass(eq=False)

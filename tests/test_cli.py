@@ -248,6 +248,20 @@ class TestUq:
         assert chain[0] == "walker,step,E,nu,log_post,accepted"
         assert len(chain) == 1 + 8 * 20
 
+    def test_bayes_negative_prior_nu_samples_its_box(self, workdir, generated):
+        cfg = write_config(
+            workdir, "uqb_auxetic.cfg",
+            mesh_file=str(workdir / "plate.mesh"),
+            data=str(workdir / "data.csv"),
+            sigma_e=2e-4, walkers=8, steps=5, seed=3, prior_nu=-0.3,
+            chain_out=str(workdir / "chain_auxetic.csv"),
+            report_out=str(workdir / "uq_auxetic.txt"),
+        )
+        assert main(["uq", "-c", cfg, "--method", "bayes"]) == 0
+        rows = (workdir / "chain_auxetic.csv").read_text().splitlines()[1:]
+        nu = [float(row.split(",")[3]) for row in rows]
+        assert len(nu) == 8 * 5 and all(-0.3 * 1.1 <= v <= -0.3 * 0.9 for v in nu)
+
     def test_hierarchical_smoke(self, workdir):
         cfg = write_config(
             workdir, "uqh.cfg", seed=0, n_outer=3, walkers=8, steps=20,
@@ -312,8 +326,13 @@ class TestUq:
          "config error: prior_variation must lie in (0, 1), got -0.1"),
         ("bayes", dict(prior_variation=1.0), [],
          "config error: prior_variation must lie in (0, 1), got 1.0"),
+        ("bayes", dict(prior_E=-210000), [],
+         "config error: prior_E must be positive and finite, got -210000.0"),
+        ("bayes", dict(prior_nu=0.6), [],
+         "config error: prior_nu must lie in (-1, 0.5), got 0.6"),
     ], ids=["n_outer=0", "steps=0", "jobs=0", "jobs=-3", "bayes-steps=0", "sigma_e=0",
-            "sigma_e<0", "sigma_e=nan", "prior_variation<0", "prior_variation=1"])
+            "sigma_e<0", "sigma_e=nan", "prior_variation<0", "prior_variation=1",
+            "prior_E<0", "prior_nu=0.6"])
     def test_empty_sampler_run_exits_2(self, workdir, generated, capsys,
                                        method, keys, flags, message):
         report = workdir / "uq_empty.txt"

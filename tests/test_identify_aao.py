@@ -22,9 +22,9 @@ from calibrix.identify_aao import (
 from calibrix.identify_reduced import solve_nls
 from calibrix.identify_vfm import equilibrium_gap, full_field_vectors, solve_vfm
 from calibrix.materials import c_coords_from_E_nu
-from calibrix.mesh_fem import DofPartition
+from calibrix.mesh_fem import DofPartition, _factor
 from calibrix.meshes import quarter_plate_mesh
-from cases import make_plate_case, plate_observations
+from cases import general_lu, make_plate_case, plate_observations
 
 KAPPA_TRUE_C = np.array(c_coords_from_E_nu(210000.0, 0.3))
 
@@ -38,11 +38,11 @@ def _quiet_seminorm_warning():
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """The permc_spec of every sparse factorization, in call order."""
+    """The keyword arguments of every sparse factorization, in call order."""
     calls = []
 
     def counting_splu(*args, **kwargs):
-        calls.append(kwargs.get("permc_spec", "COLAMD"))
+        calls.append(kwargs)
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
@@ -51,6 +51,8 @@ def splu_calls(monkeypatch):
 
 class TestKktSolve:
     def test_bit_identical_to_fresh_factorization(self, splu_calls):
+        # One factorization per solve, no state between solves, and the
+        # general-LU solution to rounding (K K^T squares K's condition).
         mesh = quarter_plate_mesh(30, 25)  # the plate-reference mesh, 1 545 rows
         ops = AaoOperators(mesh, DofPartition.from_mesh(mesh), 1500.0)
         rng = np.random.default_rng(0)
@@ -60,10 +62,11 @@ class TestKktSolve:
             r0 = ops.p_vec - K @ rng.uniform(-1e-3, 1e-3, ops.n_u)
             n_calls = len(splu_calls)
             lam = ops.solve((K @ K.T).tocsc(), r0)
-            assert len(splu_calls) == n_calls + 1  # the cache adds no factorization
-            oracle = splu((K @ K.T).tocsc()).solve(r0)
-            assert np.array_equal(lam.view(np.int64), oracle.view(np.int64)), i
-        assert splu_calls == ["COLAMD"] + ["NATURAL"] * 29
+            assert len(splu_calls) == n_calls + 1
+            fresh = _factor((K @ K.T).tocsc()).solve(r0)
+            assert np.array_equal(lam.view(np.int64), fresh.view(np.int64)), i
+            oracle = general_lu((K @ K.T).tocsc()).solve(r0)
+            assert np.linalg.norm(lam - oracle) <= 1e-9 * np.linalg.norm(oracle), i
 
     def test_failed_factorization_raises_solver_error(self, plate_small):
         ops = AaoOperators(plate_small.coarse, plate_small.part, 1500.0)
@@ -73,7 +76,9 @@ class TestKktSolve:
 
 
 class TestStateSolve:
-    def test_bit_identical_to_fresh_factorization(self, splu_calls):
+    def test_bit_identical_to_fresh_factorization(self):
+        # H can be so ill-conditioned that two LUs agree in no digit, so the
+        # general LU bounds the residual, not the solution.
         mesh = quarter_plate_mesh(30, 25)
         ops = AaoOperators(mesh, DofPartition.from_mesh(mesh), 1500.0)
         rng = np.random.default_rng(1)
@@ -83,19 +88,10 @@ class TestStateSolve:
             H = (K.T @ K + rng.uniform(1e-6, 1.0) * sp.identity(ops.n_u)).tocsc()
             rhs = rng.normal(size=ops.n_u)
             x = ops.solve(H, rhs)
-            oracle = splu(H).solve(rhs)
-            assert np.array_equal(x.view(np.int64), oracle.view(np.int64)), i
-        assert splu_calls == ["COLAMD"] + ["NATURAL"] * 9
-
-    @pytest.mark.parametrize("method", ["gauss_newton", "gauss_seidel"])
-    def test_solver_orders_the_pattern_once(self, method, splu_calls, plate_small,
-                                            plate_small_matched):
-        # sigma_d = 1e8 keeps gauss_newton off the lexicographic branch, so
-        # both methods solve the state subproblem at every step.
-        aao_fem_solve(plate_small.coarse, plate_small.part, plate_small_matched,
-                      sigma_s=1.0, sigma_d=1e8, method=method, max_iter=5)
-        assert len(splu_calls) >= 2
-        assert splu_calls == ["COLAMD"] + ["NATURAL"] * (len(splu_calls) - 1)
+            assert np.array_equal(x.view(np.int64), _factor(H).solve(rhs).view(np.int64)), i
+            oracle = general_lu(H).solve(rhs)
+            assert (np.linalg.norm(H @ x - rhs)
+                    <= 10.0 * np.linalg.norm(H @ oracle - rhs)), i
 
 
 class TestAaoFem:

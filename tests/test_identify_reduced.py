@@ -10,6 +10,7 @@ from calibrix.errors import JacobianError
 from calibrix.identify_reduced import (
     ForwardModel,
     data_vectors,
+    default_nd_steps,
     jacobian_external_nd,
     landweber_reduced,
     reduced2_multiplier_residual,
@@ -149,6 +150,35 @@ class TestSolveNls:
         assert result.kappa[0] == 0.5
 
 
+    @pytest.mark.parametrize("options, message", [
+        (dict(), "first-order optimality"),
+        (dict(gtol=0.0), "step/function change below tolerance"),
+        (dict(gtol=0.0, ftol=0.0, xtol=0.0), "no acceptable step (stalled)"),
+        (dict(max_iter=2), "max iterations reached"),
+        (dict(max_iter=0), "max iterations reached"),
+    ], ids=["optimality", "tolerance", "stalled", "max_iter=2", "max_iter=0"])
+    def test_jacobian_is_at_the_returned_kappa(self, options, message):
+        # Each exit returns the Jacobian at its kappa, formed once there.
+        t = np.linspace(0.0, 2.0, 9)
+        calls = []
+
+        def simulate(k):
+            calls.append(k.copy())
+            return k[0] * np.exp(-k[1] * t)
+
+        model = ForwardModel(simulate=simulate, names=("a", "b"))
+        d = 2.0 * np.exp(-0.7 * t) + 0.01 * np.sin(7.0 * t)
+        result = solve_nls(model, (d, np.ones_like(d)), np.array([1.0, 0.3]), **options)
+        assert result.message == message
+        assert result.n_evals == len(calls)
+        for j, h in enumerate(default_nd_steps(result.kappa)):
+            pert = result.kappa.copy()
+            pert[j] += h
+            assert sum(np.array_equal(k, pert) for k in calls) == 1
+        J = jacobian_external_nd(model, result.kappa)
+        assert np.array_equal(result.jacobian.view(np.int64), J.view(np.int64))
+
+
 class TestTracerContract:
     """The call points that an outside tracer wraps: one module-level
     ``plate_displacements`` and one ``scipy.sparse.linalg.splu`` call per
@@ -170,7 +200,7 @@ class TestTracerContract:
         import calibrix.benchmarks as benchmarks
 
         model = plate_forward_model(plate_small)
-        model(KAPPA_TRUE)  # set-up: the cached pattern and column order
+        model(KAPPA_TRUE)  # the first evaluation, outside the counts
         forward = self._count(monkeypatch, benchmarks, "plate_displacements")
         factor = self._count(monkeypatch, spla, "splu")
         for n, E in enumerate((190000.0, 200000.0, 220000.0), start=1):

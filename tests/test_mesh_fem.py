@@ -27,6 +27,7 @@ from calibrix.mesh_fem import (
     StiffnessDecomposition,
     _C_BASIS,
     _condition_estimate,
+    _factor,
     applied_forces,
     assemble_parameter_matrices,
     assemble_stiffness,
@@ -40,7 +41,7 @@ from calibrix.mesh_fem import (
     zero_force_rows,
 )
 from calibrix.meshes import quarter_plate_mesh
-from cases import rectangle_mesh, uniaxial_patch_mesh
+from cases import general_lu, rectangle_mesh, uniaxial_patch_mesh
 from oracle_fem import element_stiffness, element_stiffness_from_coords, full_stiffness
 
 C_STEEL = elasticity_matrix_plane_stress(ElasticParams(E=210000.0, nu=0.3))
@@ -287,9 +288,17 @@ def _plate_bayes_kappas(n, seed):
     return [np.array(c_coords_from_E_nu(e, v)) for e, v in zip(E, nu)]
 
 
+def _assert_general_lu_solution(u, stiff, rhs):
+    """u is within 1e-12 relative of the general-LU solution of K u = rhs."""
+    oracle = general_lu(stiff.K.tocsc()).solve(rhs)
+    assert np.linalg.norm(u - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
 class TestDecompositionSolve:
     @pytest.mark.parametrize("n_c, n_r, draws", [(12, 10, 200), (30, 25, 20)])
     def test_bit_identical_to_fresh_factorization(self, n_c, n_r, draws):
+        # Each solve factors afresh in symmetric mode and keeps no state
+        # between calls; its result is also that of a general LU to rounding.
         mesh = quarter_plate_mesh(n_c, n_r)
         part = DofPartition.from_mesh(mesh)
         decomp = StiffnessDecomposition.from_mesh(mesh, part)
@@ -301,30 +310,24 @@ class TestDecompositionSolve:
             # Kbar ubar term is exercised too (the plate's own ubar is 0).
             ubar = ubar_random if i % 2 else ubar_plate
             stiff = decomp.stiffness(kappa)
-            oracle = spla.splu(stiff.K.tocsc()).solve(pbar - stiff.Kbar @ ubar)
+            rhs = pbar - stiff.Kbar @ ubar
+            fresh = _factor(stiff.K.tocsc()).solve(rhs)
             u, _ = decomp.solve(kappa, pbar, ubar)
-            assert np.array_equal(u.view(np.int64), oracle.view(np.int64)), (i, kappa)
+            assert np.array_equal(u.view(np.int64), fresh.view(np.int64)), i
+            _assert_general_lu_solution(u, stiff, rhs)
 
     def test_earlier_factors_survive_later_solves(self, plate):
-        # solve refills one cached container per call; the factors it returned
-        # before must still solve their own system, bit for bit.
         mesh, part = plate
         decomp = StiffnessDecomposition.from_mesh(mesh, part)
         pbar = applied_forces(mesh, part)
         ubar = np.random.default_rng(4).uniform(-1e-3, 1e-3, part.n_prescribed)
         kappas = _plate_bayes_kappas(6, seed=13)
-        kept = []
-        for kappa in kappas:
-            u, lu = decomp.solve(kappa, pbar, ubar)
-            kept.append((kappa, u, lu))
-        order = decomp.column_order
+        kept = [(kappa, *decomp.solve(kappa, pbar, ubar)) for kappa in kappas]
         for kappa, u, lu in kept:
             stiff = decomp.stiffness(kappa)
-            again = np.empty_like(u)
-            again[order] = lu.solve(pbar - stiff.Kbar @ ubar)
-            assert np.array_equal(again.view(np.int64), u.view(np.int64)), kappa
-            oracle = spla.splu(stiff.K.tocsc()).solve(pbar - stiff.Kbar @ ubar)
-            assert np.array_equal(u.view(np.int64), oracle.view(np.int64)), kappa
+            rhs = pbar - stiff.Kbar @ ubar
+            assert np.array_equal(lu.solve(rhs).view(np.int64), u.view(np.int64)), kappa
+            _assert_general_lu_solution(u, stiff, rhs)
 
     @pytest.mark.parametrize("kappa, match", [
         (np.zeros(2), "sparse factorization failed"),
@@ -345,14 +348,12 @@ class TestDecompositionSolve:
         assert messages[0] == messages[1]
         # The failed call leaves nothing behind that a later solve would see.
         stiff = decomp.stiffness(KAPPA_STEEL)
-        oracle = spla.splu(stiff.K.tocsc()).solve(pbar - stiff.Kbar @ ubar)
         u, _ = decomp.solve(KAPPA_STEEL, pbar, ubar)
-        assert np.array_equal(u.view(np.int64), oracle.view(np.int64))
+        _assert_general_lu_solution(u, stiff, pbar - stiff.Kbar @ ubar)
 
     def test_alternating_prescribed_displacements_match_fresh_factorization(self, plate):
         # Each kappa is solved with a non-zero ubar and with the plate's own
-        # ubar = 0 in turn; the oracles are formed only after every solve, so
-        # no container state left by one draw can leak into the next.
+        # ubar = 0 in turn; the oracles are formed only after every solve.
         mesh, part = plate
         decomp = StiffnessDecomposition.from_mesh(mesh, part)
         pbar = applied_forces(mesh, part)
@@ -363,8 +364,7 @@ class TestDecompositionSolve:
                 for kappa in _plate_bayes_kappas(10, seed=17) for ubar in ubars]
         for kappa, ubar, u in runs:
             stiff = decomp.stiffness(kappa)
-            oracle = spla.splu(stiff.K.tocsc()).solve(pbar - stiff.Kbar @ ubar)
-            assert np.array_equal(u.view(np.int64), oracle.view(np.int64)), kappa
+            _assert_general_lu_solution(u, stiff, pbar - stiff.Kbar @ ubar)
 
     def test_transposed_solve_reuses_factors(self, plate):
         mesh, part = plate
@@ -374,8 +374,8 @@ class TestDecompositionSolve:
         r = np.random.default_rng(5).standard_normal(part.n_free)
         for kappa in _plate_bayes_kappas(5, seed=11):
             _, lu = decomp.solve(kappa, pbar, ubar)
-            lam = lu.solve(r[decomp.column_order], trans="T")
-            oracle = spla.splu(decomp.stiffness(kappa).K.T.tocsc()).solve(r)
+            lam = lu.solve(r, trans="T")
+            oracle = general_lu(decomp.stiffness(kappa).K.T.tocsc()).solve(r)
             assert np.linalg.norm(lam - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_zero_coefficients_raise_solver_error(self, plate):
