@@ -344,12 +344,18 @@ def cmd_uq(cfg: Config, method: str, jobs: int = 1) -> int:
         prior_nu = cfg.get_float("prior_nu", 0.3)
         if not -1.0 < prior_nu < 0.5:
             raise ConfigError(f"prior_nu must lie in (-1, 0.5), got {prior_nu!r}")
-        mesh, part, data = _calibration_inputs(cfg)
-        case = _reduced_case(mesh, part)
         center = np.array([prior_E, prior_nu])
         # A negative prior_nu turns the two ends of its box around.
         ends = (center * (1.0 - variation), center * (1.0 + variation))
         lower, upper = np.minimum(*ends), np.maximum(*ends)
+        if not lower[1] < upper[1]:
+            raise ConfigError(
+                f"prior box for nu must have positive width, got prior_nu={prior_nu!r}")
+        if not (-1.0 < lower[1] and upper[1] < 0.5):
+            raise ConfigError(f"prior box for nu, [{lower[1]:.6g}, {upper[1]:.6g}], "
+                              "must lie in (-1, 0.5)")
+        mesh, part, data = _calibration_inputs(cfg)
+        case = _reduced_case(mesh, part)
         log_post = plate_log_posterior(case, data, sigma_e, lower, upper)
         chain = ensemble_sample(
             log_post, lower, upper,

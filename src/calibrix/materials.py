@@ -5,7 +5,9 @@ plane-stress reduction, and a small-strain von Mises viscoplasticity model
 with Armstrong-Frederick kinematic hardening.  The viscoplastic update uses
 an elastic-predictor / inelastic-corrector scheme whose corrector reduces to
 a single scalar equation through the radial-return structure of the model.
-The uniaxial driver solves the rate-independent limit in closed form.
+The uniaxial driver reduces the model to one scalar recursion in the axial
+plastic strain: closed-form for the rate-independent limit, and one scalar
+viscous equation per step otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ SIGMA_0 = 1.0  # N/mm^2
 
 _SQ23 = math.sqrt(2.0 / 3.0)
 _EYE3 = np.eye(3)
-# Relative bracket width at which the corrector accepts its iterate.
+# Relative bracket width (or, in the uniaxial viscous step, Newton step) at
+# which a corrector accepts its iterate.
 _BRACKET_RTOL = 4.0 * float(np.finfo(float).eps)
 
 _NEWTON_MAX_ITER = 50
@@ -304,11 +307,11 @@ def integrate_viscoplastic_step(
 
     Given the state at the previous time and the total strain at the new
     time, returns the updated state and the 3x3 stress tensor.  ``dt`` must
-    be positive; for the rate-independent limit (eta = 0) it only labels the
-    step.
+    be positive and finite; for the rate-independent limit (eta = 0) it only
+    labels the step.
     """
-    if dt <= 0.0:
-        raise IntegrationError(f"step size must be positive, got dt={dt}")
+    if not 0.0 < dt < math.inf:
+        raise IntegrationError(f"step size must be positive and finite, got dt={dt}")
     K, G = ep.bulk, ep.shear
     strain = np.asarray(strain, dtype=float)
     tr_e = strain.trace()
@@ -344,64 +347,55 @@ def integrate_viscoplastic_step(
     return new_state, sigma
 
 
-def _diag(x_ax, x_lat) -> np.ndarray:
-    """The diagonal (x_ax, x_lat, x_lat) of a uniaxial tensor.
+def _viscous_increment(d_ri, phi, B, Eb, b, k, a, r):
+    """The increment D = |dp| of a viscous uniaxial step, in (0, d_ri].
 
-    The BLAS dot of two such diagonals accumulates in the same order as
-    :func:`_inner` on the full tensors, whose off-diagonal zeros add nothing,
-    so the Frobenius product is bit-identical.  A plain float sum is not: the
-    BLAS kernel accumulates with fused multiply-adds.
+    At the end of a step with increment D the overstress norm is
+    g(D) = (phi - B D - E b D^2)/(1 + b D), in the terms of
+    :func:`uniaxial_plastic_driver`, and f(D) = g(2k + g)/3 is the 3x3 model's
+    f = |xi|^2/2 - k^2/3, since |xi| = sqrt(2/3)|sigma - y|.  With
+    dlam = sqrt(3/2) D, the 3x3 viscous residual dlam/dt - <f/SIGMA_0>^r/eta
+    has the root of F(D) = f(D)/SIGMA_0 - (a D)^(1/r), a = eta sqrt(3/2)/dt,
+    which does not span hundreds of decades for large r.  F is positive at 0
+    (phi > 0) and negative at the rate-independent increment ``d_ri``.
+
+    Safeguarded Newton runs on w = (a D)^(1/r), from w at ``d_ri``, bisecting
+    whenever a step leaves the bracket: in w, F = f(w^r/a)/SIGMA_0 - w has
+    slope -1 at 0, where (a D)^(1/r) has an infinite one, so a root far below
+    ``d_ri`` takes a few iterates, not one bisection per halving.  It accepts
+    its iterate once |F| is within 4 ulp of max(f, w), or once the bracket or
+    the Newton step has shrunk to machine precision: f carries the rounding
+    of phi - B D, far above its ulp when the step ends close to the yield
+    surface.  It raises IntegrationError after 50 iterates.
     """
-    return np.array((x_ax, x_lat, x_lat))
-
-
-def _uniaxial_step(state, e_ax, e_lat, dt, K, G, pp: PlasticParams, x, nbb):
-    """:func:`integrate_viscoplastic_step` for a uniaxial state, on scalars.
-
-    Every tensor of a uniaxial step is diag(x_ax, x_lat, x_lat), so the step
-    is carried by its axial and lateral diagonal entries.  ``state`` is the
-    tuple (viscous strain ax, lat, backstress ax, lat, arc length) and the
-    total strain is diag(e_ax, e_lat, e_lat).  ``x`` is the state's backstress
-    diagonal, ``_diag(x_ax, x_lat)``, and ``nbb`` its X:X, ``float(x.dot(x))``:
-    they depend on the state only, so a caller that evaluates one state at
-    several strains builds them once.  The same floating-point operations run
-    in the same order as in the 3x3 routine, so the results are
-    bit-identical.  Returns (new state, axial stress, lateral stress).
-    """
-    if dt <= 0.0:
-        raise IntegrationError(f"step size must be positive, got dt={dt}")
-    ev_ax, ev_lat, x_ax, x_lat, arc = state
-    tr_e = (e_ax + e_lat) + e_lat
-    mean = tr_e / 3.0
-    dev_ax, dev_lat = e_ax - mean, e_lat - mean
-    g2 = 2.0 * G
-    a_ax, a_lat = g2 * (dev_ax - ev_ax), g2 * (dev_lat - ev_lat)
-    xi = _diag(a_ax - x_ax, a_lat - x_lat)
-    f_trial = 0.5 * float(xi.dot(xi)) - pp.k * pp.k / 3.0
-    p = K * tr_e
-
-    if f_trial < 0.0:
-        return state, p + a_ax, p + a_lat
-
-    a = _diag(a_ax, a_lat)
-    dlam = _solve_plastic_multiplier(float(a.dot(a)), float(a.dot(x)), nbb, G, pp, dt)
-
-    if dlam == 0.0:
-        return state, p + a_ax, p + a_lat
-
-    theta = 1.0 / (1.0 + pp.b * _SQ23 * dlam)
-    h_ax, h_lat = a_ax - theta * x_ax, a_lat - theta * x_lat
-    h = _diag(h_ax, h_lat)
-    nhat = math.sqrt(float(h.dot(h)))
-    q_ax, q_lat = h_ax / nhat, h_lat / nhat
-    q_mean = ((q_ax + q_lat) + q_lat) / 3.0
-    n_ax, n_lat = q_ax - q_mean, q_lat - q_mean
-
-    ev_ax, ev_lat = ev_ax + dlam * n_ax, ev_lat + dlam * n_lat
-    cd = pp.c * dlam
-    x_ax, x_lat = theta * (x_ax + cd * n_ax), theta * (x_lat + cd * n_lat)
-    new_state = (ev_ax, ev_lat, x_ax, x_lat, arc + _SQ23 * dlam)
-    return new_state, p + g2 * (dev_ax - ev_ax), p + g2 * (dev_lat - ev_lat)
+    two_k = 2.0 * k
+    lo, hi = 0.0, (a * d_ri) ** (1.0 / r)
+    w = hi
+    for _ in range(_NEWTON_MAX_ITER):
+        d = w**r / a
+        q = 1.0 + b * d
+        g = (phi - B * d - Eb * d * d) / q
+        f = g * (two_k + g) / (3.0 * SIGMA_0)
+        res = f - w
+        if abs(res) <= _BRACKET_RTOL * (f if f > w else w):
+            return d
+        if res > 0.0:
+            lo = w
+        else:
+            hi = w
+        if hi - lo <= _BRACKET_RTOL * hi:
+            return d
+        dg = (-B - 2.0 * Eb * d - b * g) / q
+        step = res / (2.0 * (k + g) * dg / (3.0 * SIGMA_0) * (r * d / w) - 1.0)
+        if abs(step) <= _BRACKET_RTOL * w:
+            # A step below w's resolution still moves d: dD/D = r dw/w.
+            return d - r * d * step / w
+        w_new = w - step
+        w = w_new if lo < w_new < hi else 0.5 * (lo + hi)
+    raise IntegrationError(
+        f"plastic corrector did not converge in {_NEWTON_MAX_ITER} iterations "
+        f"(residual {res:.3e})"
+    )
 
 
 def uniaxial_plastic_driver(
@@ -409,8 +403,6 @@ def uniaxial_plastic_driver(
     dt,
     ep: ElasticParams,
     pp: PlasticParams,
-    lateral_tol: float | None = None,
-    max_iter: int = 30,
 ) -> tuple[np.ndarray, np.ndarray, MaterialState]:
     """Displacement-controlled uniaxial tension of a single material point.
 
@@ -418,36 +410,37 @@ def uniaxial_plastic_driver(
     with the transverse stresses held at zero.  Returns the axial stress
     history, the lateral strain history, and the final state.
 
-    For eta = 0 the return map is solved in closed form.  In uniaxial stress
-    every deviatoric tensor is proportional to diag(1, -1/2, -1/2), so the
-    model reduces to the axial plastic strain p and y = 1.5 X_ax (Simo &
-    Hughes, Computational Inelasticity, 1998, ch. 1-2).  Each step takes the
-    trial stress s* = E(eps - p), xi* = s* - y and phi = |xi*| - k; when
-    phi > 0, the increment D = |dp| is the positive root of
+    In uniaxial stress every deviatoric tensor is proportional to
+    diag(1, -1/2, -1/2), so the model reduces to a scalar recursion in the
+    axial plastic strain p and y = 1.5 X_ax (Simo & Hughes, Computational
+    Inelasticity, 1998, ch. 1-2).  Each step takes the trial stress
+    s* = E(eps - p), xi* = s* - y and phi = |xi*| - k.  When phi > 0, the
+    rate-independent increment D = |dp| is the positive root of
     E b D^2 + B D - phi = 0 with B = E + 1.5c - b(sign(xi*) s* - k), taken in
-    its cancellation-free form.  The lateral strain follows from the elastic
-    law and plastic incompressibility, and the final state is
-    p diag(1, -1/2, -1/2) and (y/1.5) diag(1, -1/2, -1/2).  This is the
-    3x3 model of :func:`integrate_viscoplastic_step` at the exact lateral
-    strain, so it agrees with the secant path to that path's tolerance.
-
-    For eta > 0 each step solves for the lateral strain such that the
-    transverse stress vanishes, by :func:`_uniaxial_secant_driver`;
-    ``lateral_tol`` and ``max_iter`` apply to that path only.
+    its cancellation-free form; for eta > 0 the increment solves one scalar
+    viscous equation on (0, D] (:func:`_viscous_increment`).  The lateral
+    strain follows from the elastic law and plastic incompressibility, and
+    the final state is p diag(1, -1/2, -1/2) and (y/1.5) diag(1, -1/2, -1/2).
+    This is the 3x3 model of :func:`integrate_viscoplastic_step` at the
+    exact lateral strain.
 
     ``dt`` is a scalar step duration or an array of length ``len(axial_strain) - 1``;
-    a non-positive step raises IntegrationError at that step.  Strains and
-    step sizes are read as Python floats, as the parameters are stored, so
-    every step runs on Python-float arithmetic.
+    a step that is not positive and finite raises IntegrationError at that
+    step.  Strains and step sizes are read as Python floats, as the
+    parameters are stored, so every step runs on Python-float arithmetic.
     """
-    if not pp.rate_independent:
-        return _uniaxial_secant_driver(axial_strain, dt, ep, pp, lateral_tol, max_iter)
-    eps, dts = _driver_inputs(axial_strain, dt)
+    eps = np.asarray(axial_strain, dtype=float)
+    if eps.ndim != 1 or eps.size == 0:
+        raise DriverError("axial strain history must be a non-empty 1-d array")
+    if eps[0] != 0.0:
+        raise DriverError(f"strain history must start at 0, got {eps[0]}")
     if not np.isfinite(eps).all():
         raise DriverError("axial strain history must be finite")
     n = eps.size
+    dts = np.broadcast_to(np.asarray(dt, dtype=float), (n - 1,)).tolist() if n > 1 else []
     E, K, G = ep.E, ep.bulk, ep.shear
     k, b, c15 = pp.k, pp.b, 1.5 * pp.c
+    viscous, rate = not pp.rate_independent, pp.eta * math.sqrt(1.5)
     lat_e, lat_p, lat_d = 3.0 * K - 2.0 * G, 3.0 * G, 6.0 * K + 2.0 * G
     eps_ax = eps.tolist()
     sigma_ax = [0.0] * n
@@ -455,8 +448,9 @@ def uniaxial_plastic_driver(
     p = y = arc = 0.0
 
     for i in range(1, n):
-        if dts[i - 1] <= 0.0:
-            raise IntegrationError(f"step size must be positive, got dt={dts[i - 1]}")
+        dt_i = dts[i - 1]
+        if not 0.0 < dt_i < math.inf:
+            raise IntegrationError(f"step size must be positive and finite, got dt={dt_i}")
         e = eps_ax[i]
         sig = E * (e - p)
         xi = sig - y
@@ -466,6 +460,8 @@ def uniaxial_plastic_driver(
             B = E + c15 - b * (s * sig - k)
             root = math.sqrt(B * B + 4.0 * E * b * phi)
             d = 2.0 * phi / (B + root) if B >= 0.0 else (root - B) / (2.0 * E * b)
+            if viscous:
+                d = _viscous_increment(d, phi, B, E * b, b, k, rate / dt_i, pp.r)
             p += s * d
             y = (y + c15 * s * d) / (1.0 + b * d)
             arc += d
@@ -477,98 +473,3 @@ def uniaxial_plastic_driver(
     final = MaterialState(viscous_strain=np.diag([p, -0.5 * p, -0.5 * p]),
                           backstress=np.diag([x, -0.5 * x, -0.5 * x]), arc_length=arc)
     return np.array(sigma_ax), np.array(eps_lat), final
-
-
-def _driver_inputs(axial_strain, dt) -> tuple[np.ndarray, list]:
-    """The strain history as a float array and the step sizes as a list of
-    Python floats, one per step; raises DriverError for a history that is
-    not a non-empty 1-d array starting at 0."""
-    eps = np.asarray(axial_strain, dtype=float)
-    if eps.ndim != 1 or eps.size == 0:
-        raise DriverError("axial strain history must be a non-empty 1-d array")
-    if eps[0] != 0.0:
-        raise DriverError(f"strain history must start at 0, got {eps[0]}")
-    n = eps.size
-    dts = np.broadcast_to(np.asarray(dt, dtype=float), (n - 1,)).tolist() if n > 1 else []
-    return eps, dts
-
-
-def _uniaxial_secant_driver(
-    axial_strain: np.ndarray,
-    dt,
-    ep: ElasticParams,
-    pp: PlasticParams,
-    lateral_tol: float | None = None,
-    max_iter: int = 30,
-) -> tuple[np.ndarray, np.ndarray, MaterialState]:
-    """:func:`uniaxial_plastic_driver` by a secant iteration on the lateral strain.
-
-    Solves, at every step, for the lateral strain such that the transverse
-    stresses vanish, seeded with the elastic slope d(sigma22)/d(eps_lat), to
-    ``|sigma22| <= lateral_tol`` (default 1e-9 k) in at most ``max_iter``
-    secant updates.  Each evaluation of the transverse stress is one
-    :func:`_uniaxial_step`, the scalar form of :func:`integrate_viscoplastic_step`
-    for diagonal states, with bit-identical results; the state and stress of
-    the step are those of the last (converged) evaluation.  The state does
-    not change across a step's evaluations, so its backstress diagonal and
-    X:X are built once per step.  The driver runs it for eta > 0; for
-    eta = 0 it is the reference that the closed form is tested against.
-    """
-    eps, dts = _driver_inputs(axial_strain, dt)
-    n = eps.size
-    tol = lateral_tol if lateral_tol is not None else 1e-9 * pp.k
-
-    K, G = ep.bulk, ep.shear
-    eps_ax = eps.tolist()
-    sigma_ax = [0.0] * n
-    eps_lat = [0.0] * n
-    state = (0.0, 0.0, 0.0, 0.0, 0.0)
-    slope_elastic = 2.0 * K + 2.0 * G / 3.0
-    trial = None
-
-    for i in range(1, n):
-        # Linear extrapolation of the previous lateral strains as the guess.
-        if i >= 2:
-            guess = 2.0 * eps_lat[i - 1] - eps_lat[i - 2]
-        else:
-            guess = -ep.nu * eps_ax[i]
-        e_ax, dt_i = eps_ax[i], dts[i - 1]
-        x = _diag(state[2], state[3])
-        nbb = float(x.dot(x))
-
-        def transverse_stress(el):
-            # Keeps (state, sigma_ax, sigma_lat) of the evaluation: the last
-            # one is the step.
-            nonlocal trial
-            trial = _uniaxial_step(state, e_ax, el, dt_i, K, G, pp, x, nbb)
-            return trial[2]
-
-        # Secant iteration, seeded with the elastic slope d(sigma22)/d(eps_lat).
-        el0 = guess
-        g0 = transverse_stress(el0)
-        converged = abs(g0) <= tol
-        el, g = el0, g0
-        if not converged:
-            el = el0 - g0 / slope_elastic
-            for _ in range(max_iter):
-                g = transverse_stress(el)
-                if abs(g) <= tol:
-                    converged = True
-                    break
-                if g == g0:
-                    break
-                el, el0, g0 = el - g * (el - el0) / (g - g0), el, g
-        if not converged:
-            raise DriverError(
-                f"lateral-strain iteration failed at step {i} "
-                f"(axial strain {eps[i]:.4g}, residual {g:.3e})"
-            )
-
-        state, sigma_ax[i], _ = trial
-        eps_lat[i] = el
-
-    ev_ax, ev_lat, x_ax, x_lat, arc = state
-    final = MaterialState(viscous_strain=np.diag([ev_ax, ev_lat, ev_lat]),
-                          backstress=np.diag([x_ax, x_lat, x_lat]), arc_length=arc)
-    return np.array(sigma_ax), np.array(eps_lat), final
-

@@ -213,7 +213,7 @@ class TestUq:
         # than their reported uncertainty: within 1e-3 of each delta of the
         # run with the secant path that it replaced for eta = 0.
         import calibrix.benchmarks as benchmarks
-        import calibrix.materials as materials
+        from oracle_uniaxial import uniaxial_secant_driver
 
         def estimates(name):
             cfg = write_config(tmp_path, f"{name}.cfg", seed=0, report_out=f"{name}.txt")
@@ -227,8 +227,7 @@ class TestUq:
 
         monkeypatch.chdir(tmp_path)
         closed = estimates("closed")
-        monkeypatch.setattr(benchmarks, "uniaxial_plastic_driver",
-                            materials._uniaxial_secant_driver)
+        monkeypatch.setattr(benchmarks, "uniaxial_plastic_driver", uniaxial_secant_driver)
         secant = estimates("secant")
         assert sorted(closed) == ["b", "c", "k"] and closed != secant
         for name, (value, delta) in secant.items():
@@ -330,9 +329,15 @@ class TestUq:
          "config error: prior_E must be positive and finite, got -210000.0"),
         ("bayes", dict(prior_nu=0.6), [],
          "config error: prior_nu must lie in (-1, 0.5), got 0.6"),
+        ("bayes", dict(prior_nu=0), [],
+         "config error: prior box for nu must have positive width, got prior_nu=0.0"),
+        ("bayes", dict(prior_nu=0.45, prior_variation=0.2), [],
+         "config error: prior box for nu, [0.36, 0.54], must lie in (-1, 0.5)"),
+        ("bayes", dict(prior_nu=-0.9, prior_variation=0.2), [],
+         "config error: prior box for nu, [-1.08, -0.72], must lie in (-1, 0.5)"),
     ], ids=["n_outer=0", "steps=0", "jobs=0", "jobs=-3", "bayes-steps=0", "sigma_e=0",
             "sigma_e<0", "sigma_e=nan", "prior_variation<0", "prior_variation=1",
-            "prior_E<0", "prior_nu=0.6"])
+            "prior_E<0", "prior_nu=0.6", "prior_nu=0", "prior_nu=0.45", "prior_nu=-0.9"])
     def test_empty_sampler_run_exits_2(self, workdir, generated, capsys,
                                        method, keys, flags, message):
         report = workdir / "uq_empty.txt"

@@ -1,5 +1,7 @@
 """Tests for the constitutive models and material-point drivers."""
 
+import contextlib
+import math
 import re
 from types import SimpleNamespace
 
@@ -25,8 +27,11 @@ from calibrix.materials import (
     integrate_viscoplastic_step,
     uniaxial_plastic_driver,
 )
+import oracle_corrector
+import oracle_uniaxial
 from oracle_corrector import solve_plastic_multiplier as oracle_multiplier
 from oracle_plasticity import explicit_path_reference, uniaxial_explicit_reference
+from oracle_uniaxial import diag, uniaxial_secant_driver, uniaxial_step
 
 STEEL = dict(K=150991.0, G=79321.0)
 HARDENING = dict(k=282.6, b=41.04, c=3499.8)
@@ -260,6 +265,15 @@ class TestIntegrator:
                 MaterialState(), np.zeros((3, 3)), 0.0,
                 steel_elastic(), PlasticParams(**HARDENING),
             )
+        # A non-finite step is rejected in the viscous branch too, where a
+        # NaN used to pass the positivity test and reach the corrector.
+        strain = np.diag([0.01, -0.003, -0.003])
+        for dt in (math.nan, math.inf):
+            for pp in (PlasticParams(**HARDENING), PlasticParams(**HARDENING, eta=0.1)):
+                with pytest.raises(IntegrationError, match=re.escape(
+                        f"step size must be positive and finite, got dt={dt}")):
+                    integrate_viscoplastic_step(MaterialState(), strain, dt,
+                                                steel_elastic(), pp)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +290,8 @@ def _bits(*values) -> np.ndarray:
 
 
 class TestUniaxialStep:
-    """``_uniaxial_step`` against the 3x3 integrator on diagonal states, bit for bit.
+    """``oracle_uniaxial.uniaxial_step`` against the 3x3 integrator on diagonal
+    states, bit for bit.
 
     The plastic cases are built to yield: |e_ax - e_lat| >= 0.005 drives the
     deviatoric trial stress past every drawn yield stress, whatever the drawn
@@ -307,17 +322,16 @@ class TestUniaxialStep:
         e_ax = e_lat + d
         state = MaterialState(np.diag([ev[0], ev[1], ev[1]]), np.diag([x[0], x[1], x[1]]), arc)
         scalars = (ev[0], ev[1], x[0], x[1], arc)
-        xd = materials._diag(x[0], x[1])
+        xd = diag(x[0], x[1])
         backstress = (xd, float(xd.dot(xd)))
         try:
             new, sig = integrate_viscoplastic_step(
                 state, np.diag([e_ax, e_lat, e_lat]), dt, ep, pp)
         except IntegrationError as exc:
             with pytest.raises(IntegrationError, match=re.escape(str(exc))):
-                materials._uniaxial_step(scalars, e_ax, e_lat, dt, ep.bulk, ep.shear, pp,
-                                         *backstress)
+                uniaxial_step(scalars, e_ax, e_lat, dt, ep.bulk, ep.shear, pp, *backstress)
             return
-        got, sig_ax, sig_lat = materials._uniaxial_step(
+        got, sig_ax, sig_lat = uniaxial_step(
             scalars, e_ax, e_lat, dt, ep.bulk, ep.shear, pp, *backstress)
 
         ev_ax, ev_lat, x_ax, x_lat, s = got
@@ -392,7 +406,7 @@ class TestMultiplierOnFloats:
         k = data.draw(st.floats(k_lo, k_hi))
         eta = data.draw(st.floats(eta_lo, eta_hi))
         r = data.draw(st.floats(r_lo, r_hi))
-        a, xd = materials._diag(a_ax, -0.5 * a_ax), materials._diag(*x)
+        a, xd = diag(a_ax, -0.5 * a_ax), diag(*x)
         norms = (float(a.dot(a)), float(a.dot(xd)), float(xd.dot(xd)))
         G = steel_elastic().shear
 
@@ -437,7 +451,7 @@ class TestCorrectorMatchesOracle:
         pp = PlasticParams(k=data.draw(st.floats(k_lo, k_hi)), b=b, c=c,
                            eta=data.draw(st.floats(eta_lo, eta_hi)),
                            r=data.draw(st.floats(r_lo, r_hi)))
-        a, xd = materials._diag(a_ax, -0.5 * a_ax), materials._diag(*x)
+        a, xd = diag(a_ax, -0.5 * a_ax), diag(*x)
         args = (float(a.dot(a)), float(a.dot(xd)), float(xd.dot(xd)),
                 steel_elastic().shear, pp, dt)
         try:
@@ -460,15 +474,16 @@ class TestCorrectorMatchesOracle:
     def test_driver_bit_identical_with_closure_oracle(self, E, nu, k, b, c, eta, r, amp,
                                                       cycles, dt):
         # A cyclic curve runs the corrector many times from evolving states,
-        # where a change in the last bit of one Newton iterate shows.  Only
-        # eta > 0 runs the corrector: eta = 0 takes the closed form.
+        # where a change in the last bit of one Newton iterate shows.  The
+        # secant oracle runs the corrector at every lateral-strain evaluation;
+        # the library's driver does not call it.
         eps = amp * np.sin(np.linspace(0.0, 2.0 * np.pi * cycles, 31))
         ep = ElasticParams(E=E, nu=nu)
         pp = PlasticParams(k=k, b=b, c=c, eta=eta, r=r)
 
         def run():
             try:
-                sigma, lat, state = uniaxial_plastic_driver(eps, dt, ep, pp)
+                sigma, lat, state = uniaxial_secant_driver(eps, dt, ep, pp)
             except (DriverError, IntegrationError) as exc:
                 return type(exc), str(exc)
             return [a.tobytes() for a in (sigma, lat, state.viscous_strain, state.backstress,
@@ -506,8 +521,8 @@ def assert_matches_on_scale(eps, got, ref, ep, pp, rtol):
 
 class TestClosedFormDriver:
     """The closed-form return map (eta = 0) against the secant path that it
-    replaced for eta = 0, ``materials._uniaxial_secant_driver``, and against
-    a replay through the 3x3 integrator.
+    replaced, ``oracle_uniaxial.uniaxial_secant_driver``, and against a
+    replay through the 3x3 integrator.
 
     The secant path is accurate to its lateral tolerance (1e-9 k by default),
     so the closed form must agree with it to 1e-8 of the curve's scale, and to
@@ -535,7 +550,7 @@ class TestClosedFormDriver:
         eps = strain_history(shape, amp, cycles, n)
         ep, pp = ElasticParams(E=E, nu=nu), PlasticParams(k=k, b=b, c=c)
         got = uniaxial_plastic_driver(eps, 0.1, ep, pp)
-        ref = materials._uniaxial_secant_driver(eps, 0.1, ep, pp)
+        ref = uniaxial_secant_driver(eps, 0.1, ep, pp)
         assert_matches_on_scale(eps, got, ref, ep, pp, 1e-8)
 
     @settings(max_examples=300, deadline=None)
@@ -546,7 +561,7 @@ class TestClosedFormDriver:
         eps = strain_history(shape, amp, cycles, n)
         ep, pp = ElasticParams(E=E, nu=nu), PlasticParams(k=k, b=b, c=c)
         try:
-            ref = materials._uniaxial_secant_driver(eps, 0.1, ep, pp, lateral_tol=1e-13 * k)
+            ref = uniaxial_secant_driver(eps, 0.1, ep, pp, lateral_tol=1e-13 * k)
         except DriverError:
             assume(False)
         got = uniaxial_plastic_driver(eps, 0.1, ep, pp)
@@ -566,7 +581,7 @@ class TestClosedFormDriver:
         got = uniaxial_plastic_driver(eps, 1.0, ep, pp)
         for tol, rtol in ((None, 1e-8), (1e-13 * k, 1e-12)):
             try:
-                ref = materials._uniaxial_secant_driver(eps, 1.0, ep, pp, lateral_tol=tol)
+                ref = uniaxial_secant_driver(eps, 1.0, ep, pp, lateral_tol=tol)
             except DriverError:
                 if tol is None:
                     raise
@@ -598,6 +613,113 @@ class TestClosedFormDriver:
         eps = np.array([0.0, 0.01, np.nan])
         with pytest.raises(DriverError, match="must be finite"):
             uniaxial_plastic_driver(eps, 0.1, steel_elastic(), PlasticParams(**HARDENING))
+
+
+@contextlib.contextmanager
+def converged_corrector():
+    """Runs the 3x3 step over the closure-based oracle corrector with its
+    absolute residual test off, so that it stops only once its bracket has
+    shrunk to machine precision (200 iterates allowed).
+
+    At its residual of 1e-10 the corrector leaves up to about E dt 1e-10 in
+    the stress, and calls a step elastic while <f/SIGMA_0>^r/eta <= 1e-10:
+    5e-8 of the scale at E = 1e4, k = 20, dt = 1, where the uniaxial driver
+    resolves the flow."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_corrector, "_NEWTON_TOL", 0.0)
+        mp.setattr(oracle_corrector, "_NEWTON_MAX_ITER", 200)
+        mp.setattr(materials, "_solve_plastic_multiplier", oracle_multiplier)
+        yield
+
+
+class TestViscousDriver:
+    """The scalar viscous recursion (eta > 0) against the secant path that it
+    replaced, ``oracle_uniaxial.uniaxial_secant_driver``, against a replay
+    through the 3x3 integrator, and against its own step equation.
+
+    Against the secant path the bounds are 1e-8 of the curve's scale at its
+    default lateral tolerance (1e-9 k), and 1e-11 with the path converged to
+    1e-13 k; draws where the secant path raises are discarded.  The secant
+    path and the replay run the 3x3 step over :func:`converged_corrector`.
+    """
+
+    PARAMS = dict(E=st.floats(1e4, 3e5), nu=st.floats(0.0, 0.45), k=st.floats(20.0, 300.0),
+                  b=st.floats(0.0, 200.0), c=st.floats(0.0, 2e4),
+                  log_eta=st.floats(-3.0, 1.0), r=st.floats(1.0, 3.0),
+                  amp=st.floats(0.002, 0.05), cycles=st.floats(0.25, 2.0),
+                  dt=st.floats(1e-3, 1.0))
+
+    @staticmethod
+    def case(E, nu, k, b, c, log_eta, r, amp, cycles):
+        return (strain_history("cyclic", amp, cycles, 31), ElasticParams(E=E, nu=nu),
+                PlasticParams(k=k, b=b, c=c, eta=10.0**log_eta, r=r))
+
+    @settings(max_examples=300, deadline=None)
+    @given(**PARAMS)
+    def test_matches_secant_path(self, dt, **params):
+        eps, ep, pp = self.case(**params)
+        got = uniaxial_plastic_driver(eps, dt, ep, pp)
+        for tol, rtol in ((None, 1e-8), (1e-13 * pp.k, 1e-11)):
+            with converged_corrector():
+                try:
+                    ref = uniaxial_secant_driver(eps, dt, ep, pp, lateral_tol=tol)
+                except (DriverError, IntegrationError):
+                    assume(False)
+            assert_matches_on_scale(eps, got, ref, ep, pp, rtol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**PARAMS)
+    def test_final_state_matches_integrator_replay(self, dt, **params):
+        # Replaying the curve through the 3x3 integrator at the driver's
+        # lateral strains gives its final state, and a transverse stress that
+        # passes the secant path's default test, |sigma22| <= 1e-9 k.  Draws
+        # where the integrator raises are discarded.
+        eps, ep, pp = self.case(**params)
+        sigma, lat, state = uniaxial_plastic_driver(eps, dt, ep, pp)
+        fresh = MaterialState()
+        with converged_corrector():
+            for i in range(1, eps.size):
+                try:
+                    fresh, sig = integrate_viscoplastic_step(
+                        fresh, np.diag([eps[i], lat[i], lat[i]]), dt, ep, pp)
+                except IntegrationError:
+                    assume(False)
+                assert abs(sig[1, 1]) <= 1e-9 * pp.k
+        stress_scale, strain_scale = curve_scales(eps, sigma, ep, pp)
+        assert np.abs(state.viscous_strain - fresh.viscous_strain).max() <= 1e-10 * strain_scale
+        assert np.abs(state.backstress - fresh.backstress).max() <= 1e-10 * stress_scale
+        assert abs(state.arc_length - fresh.arc_length) <= 1e-10 * max(fresh.arc_length,
+                                                                        strain_scale)
+
+    @pytest.mark.parametrize("r", [5.0, 10.0, 20.0, 40.0])
+    def test_high_overstress_exponent_converges(self, monkeypatch, r):
+        # The curve on which the 3x3 corrector fails
+        # (TestUniaxialDriver::test_high_overstress_exponent_does_not_converge).
+        # Every step yields, and its increment D solves
+        # eta sqrt(3/2) D/dt = <f/SIGMA_0>^r, with f = g(2k + g)/3 and
+        # g = (phi - B D - E b D^2)/(1 + b D) the overstress left at the end of
+        # the step, from that step's trial quantities.
+        ep = ElasticParams(E=210000.0, nu=0.3)
+        pp = PlasticParams(k=100.0, b=5.0, c=500.0, eta=1e-3, r=r)
+        solve = materials._viscous_increment
+        steps = []
+
+        def recording(d_ri, phi, B, Eb, b, k, a, r):
+            d = solve(d_ri, phi, B, Eb, b, k, a, r)
+            steps.append((d, phi, B, Eb, b, k, a))
+            return d
+
+        monkeypatch.setattr(materials, "_viscous_increment", recording)
+        sigma, _, state = uniaxial_plastic_driver(np.linspace(0.0, 0.05, 21), 0.1, ep, pp)
+        assert 132.6 < sigma[-1] < 132.7
+        assert len(steps) == 20
+        assert_allclose(sum(d for d, *_ in steps), state.arc_length, rtol=1e-14)
+        for d, phi, B, Eb, b, k, a in steps:
+            assert (Eb, b, k) == (ep.E * pp.b, pp.b, pp.k)
+            assert_allclose(a, pp.eta * math.sqrt(1.5) / 0.1, rtol=1e-15)
+            g = (phi - B * d - Eb * d * d) / (1.0 + b * d)
+            lhs = math.log(a * d)
+            assert abs(lhs - r * math.log(g * (2.0 * k + g) / 3.0 / SIGMA_0)) <= 1e-10 * abs(lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -654,25 +776,20 @@ class TestUniaxialDriver:
         PlasticParams(**HARDENING, eta=1e-2, r=1.5),
     ], ids=["rate-independent", "viscous"])
     def test_one_integrator_call_per_secant_evaluation(self, monkeypatch, pp):
-        # The driver runs the secant path for eta > 0 only; at eta = 0 the
-        # same assertions hold for the secant path that the closed form is
-        # tested against, and the driver makes no step call at all.
+        # The secant oracle that the driver is tested against makes one step
+        # call per evaluation of the transverse stress, and its step is that
+        # of the 3x3 integrator at the converged lateral strain.
         ep = steel_elastic()
         eps = np.linspace(0.0, 0.03, 31)
-        step = materials._uniaxial_step
+        step = oracle_uniaxial.uniaxial_step
         seen = []
 
         def counting(state, e_ax, e_lat, *args):
             seen.append((state, e_ax, e_lat))
             return step(state, e_ax, e_lat, *args)
 
-        monkeypatch.setattr(materials, "_uniaxial_step", counting)
-        if pp.rate_independent:
-            uniaxial_plastic_driver(eps, 0.1, ep, pp)
-            assert seen == []
-            sigma, lat, state = materials._uniaxial_secant_driver(eps, 0.1, ep, pp)
-        else:
-            sigma, lat, state = uniaxial_plastic_driver(eps, 0.1, ep, pp)
+        monkeypatch.setattr(oracle_uniaxial, "uniaxial_step", counting)
+        sigma, lat, state = uniaxial_secant_driver(eps, 0.1, ep, pp)
         monkeypatch.undo()
 
         # Each step's calls share one state and differ in the lateral strain,
@@ -693,70 +810,78 @@ class TestUniaxialDriver:
         assert state.arc_length == fresh.arc_length
 
     def test_nonpositive_step_raises_at_its_step(self):
-        # The secant path (eta > 0) counts its step calls; the closed form
-        # (eta = 0) has none, so two bad steps show that it raises at the
-        # first of them, with that step's dt in the message.
+        # The driver has no side effects before it returns, so two bad steps
+        # show that it raises at the first of them, with that step's dt in
+        # the message, for eta = 0 and eta > 0 alike.  A non-finite step is
+        # as bad as a non-positive one.
         ep = steel_elastic()
-        pp = PlasticParams(**HARDENING, eta=1e-2, r=1.5)
         eps = np.linspace(0.0, 0.01, 6)
-        for bad in (0.0, -0.1):
-            dt = np.full(eps.size - 1, 0.1)
-            dt[2] = bad
-            calls = []
-            step = materials._uniaxial_step
-
-            def counting(state, e_ax, *args):
-                calls.append(e_ax)
-                return step(state, e_ax, *args)
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(materials, "_uniaxial_step", counting)
-                with pytest.raises(IntegrationError, match=f"got dt={bad}"):
+        for pp in (PlasticParams(**HARDENING), PlasticParams(**HARDENING, eta=1e-2, r=1.5)):
+            for first, second in ((0.0, -0.1), (-0.1, 0.0), (math.nan, 0.0),
+                                  (math.inf, math.nan)):
+                dt = np.full(eps.size - 1, 0.1)
+                dt[2], dt[4] = first, second
+                with pytest.raises(IntegrationError, match=re.escape(
+                        f"step size must be positive and finite, got dt={first}")):
                     uniaxial_plastic_driver(eps, dt, ep, pp)
-            # Steps 1 and 2 ran; step 3 raised on its first evaluation.
-            assert eps[1] in calls and eps[2] in calls
-            assert calls[-1] == eps[3]
-            assert eps[3] not in calls[:-1]
-        with pytest.raises(IntegrationError):
-            uniaxial_plastic_driver(eps, 0.0, ep, pp)
+            for dt in (0.0, math.inf):
+                with pytest.raises(IntegrationError, match=re.escape(f"got dt={dt}")):
+                    uniaxial_plastic_driver(eps, dt, ep, pp)
 
-        pp = PlasticParams(**HARDENING)
-        for first, second in ((0.0, -0.1), (-0.1, 0.0)):
-            dt = np.full(eps.size - 1, 0.1)
-            dt[2], dt[4] = first, second
-            with pytest.raises(IntegrationError,
-                               match=re.escape(f"step size must be positive, got dt={first}")):
-                uniaxial_plastic_driver(eps, dt, ep, pp)
-        with pytest.raises(IntegrationError, match=re.escape("got dt=0.0")):
-            uniaxial_plastic_driver(eps, 0.0, ep, pp)
+    @staticmethod
+    def _failing_3x3_step(pp):
+        """The secant oracle's error on the pinned curve (strains to 0.05 in
+        20 steps, dt = 0.1, E = 210 000, nu = 0.3), and the 3x3 step at the
+        state and strain of the oracle's failing step evaluation, as
+        (state, strain, dt, ep, pp)."""
+        eps = np.linspace(0.0, 0.05, 21)
+        ep = ElasticParams(E=210000.0, nu=0.3)
+        step = oracle_uniaxial.uniaxial_step
+        calls = []
+
+        def recording(state, e_ax, e_lat, *args):
+            calls.append((state, e_ax, e_lat))
+            return step(state, e_ax, e_lat, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_uniaxial, "uniaxial_step", recording)
+            with pytest.raises(IntegrationError) as info:
+                uniaxial_secant_driver(eps, 0.1, ep, pp)
+        (ev_ax, ev_lat, x_ax, x_lat, arc), e_ax, e_lat = calls[-1]
+        state = MaterialState(np.diag([ev_ax, ev_lat, ev_lat]), np.diag([x_ax, x_lat, x_lat]),
+                              arc)
+        return str(info.value), (state, np.diag([e_ax, e_lat, e_lat]), 0.1, ep, pp)
 
     def test_overflowing_overstress_raises_integration_error(self):
         # over**r overflows for r = 100, where numpy scalars return inf and
-        # Python floats raise OverflowError.  The step ends in the corrector's
-        # typed error, with the message numpy-scalar parameters always gave.
+        # Python floats raise OverflowError.  The 3x3 step ends in the
+        # corrector's typed error, with the message numpy-scalar parameters
+        # always gave.
         pp = PlasticParams(k=100.0, b=5.0, c=500.0, eta=1e-3, r=100.0)
-        with pytest.raises(IntegrationError, match=re.escape(
-                "plastic corrector did not converge in 50 iterations (residual -2.736e+280)")):
-            uniaxial_plastic_driver(np.linspace(0.0, 0.05, 21), 0.1,
-                                    ElasticParams(E=210000.0, nu=0.3), pp)
+        message = "plastic corrector did not converge in 50 iterations (residual -2.736e+280)"
+        oracle_error, step = self._failing_3x3_step(pp)
+        assert oracle_error == message
+        with pytest.raises(IntegrationError, match=re.escape(message)):
+            integrate_viscoplastic_step(*step)
 
     @pytest.mark.parametrize("r, residual", [
         (5.0, "-2.506e+01"), (10.0, "-1.103e+25"), (20.0, "-1.719e+70"), (40.0, "-5.616e+159"),
     ])
     def test_high_overstress_exponent_does_not_converge(self, monkeypatch, r, residual):
-        # Pinned known defect: f/SIGMA_0 is in (N/mm^2)^2, so over**r spans
-        # hundreds of decades for r >= 5 and the corrector cannot bring the
-        # viscous residual under 1e-10.  Mending it changes the model.  The
-        # closure-based oracle corrector fails with the same message.
+        # Pinned known defect of the 3x3 corrector: f/SIGMA_0 is in
+        # (N/mm^2)^2, so over**r spans hundreds of decades for r >= 5 and
+        # the corrector cannot bring the viscous residual under 1e-10.
+        # Mending it changes the model.  The closure-based oracle corrector
+        # fails with the same message.  The uniaxial driver converges on
+        # this curve (TestViscousDriver).
         pp = PlasticParams(k=100.0, b=5.0, c=500.0, eta=1e-3, r=r)
-        args = (np.linspace(0.0, 0.05, 21), 0.1, ElasticParams(E=210000.0, nu=0.3), pp)
-        message = re.escape(
-            f"plastic corrector did not converge in 50 iterations (residual {residual})")
-        with pytest.raises(IntegrationError, match=message):
-            uniaxial_plastic_driver(*args)
-        monkeypatch.setattr(materials, "_solve_plastic_multiplier", oracle_multiplier)
-        with pytest.raises(IntegrationError, match=message):
-            uniaxial_plastic_driver(*args)
+        message = f"plastic corrector did not converge in 50 iterations (residual {residual})"
+        for corrector in (materials._solve_plastic_multiplier, oracle_multiplier):
+            monkeypatch.setattr(materials, "_solve_plastic_multiplier", corrector)
+            oracle_error, step = self._failing_3x3_step(pp)
+            assert oracle_error == message
+            with pytest.raises(IntegrationError, match=re.escape(message)):
+                integrate_viscoplastic_step(*step)
 
     def test_history_must_start_at_zero(self):
         ep = steel_elastic()
