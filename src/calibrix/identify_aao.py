@@ -31,68 +31,47 @@ from .mesh_fem import (
     DofPartition,
     Mesh,
     StiffnessDecomposition,
+    _EquilibriumRows,
     _factor,
-    default_resultant_selector,
-    prescribed_values,
-    zero_force_rows,
 )
 
 DEFAULT_KAPPA0 = np.array([225000.0, 65000.0])  # (C11, C12) starting point
 
 
-class AaoOperators:
+class AaoOperators(_EquilibriumRows):
     """Row-reduced stiffness operators split by elasticity coefficient.
 
-    K_fr(kappa) = kappa_1 K_fr_a + kappa_2 K_fr_b, and the bilinear identity
-    A(u) kappa = K_fr(kappa) u + Kbar_fr(kappa) ubar gives the parameter-side
-    matrix A(u) as two matrix-vector products.
+    K_fr(kappa) = kappa_1 K_fr_a + kappa_2 K_fr_b holds the rows of the
+    stiffness blocks that the reduced equilibrium system keeps, the rows of
+    VFM's system; ``a_cols`` gives A(u), with A(u) kappa = K_fr(kappa) u +
+    Kbar_fr(kappa) ubar, from the same rows of the element-by-element map.
     """
 
     def __init__(self, mesh: Mesh, part: DofPartition, p_check: float,
                  sigma_r: float = 1e4, m: np.ndarray | None = None):
-        self.mesh = mesh
-        self.part = part
-        self.sigma_r = sigma_r
-        if m is None:
-            m = default_resultant_selector(mesh, part)
-        decomp = StiffnessDecomposition.from_mesh(mesh, part)
-        zero = zero_force_rows(mesh, part)
-        root = math.sqrt(sigma_r)
-        self.K_fr = []
-        self.Kbar_fr = []
-        for block in decomp.blocks:
-            self.K_fr.append(
-                sp.vstack([block.K[zero], sp.csr_matrix(root * (m @ block.Kbar.T))]).tocsr()
-            )
-            self.Kbar_fr.append(
-                sp.vstack([block.Kbar[zero], sp.csr_matrix(root * (m @ block.Kbarbar))]).tocsr()
-            )
-        self.ubar = prescribed_values(mesh, part)
-        self.p_vec = np.zeros(len(zero) + 1)
-        self.p_vec[-1] = root * p_check
-        self.n_rows = len(zero) + 1
+        super().__init__(mesh, part, p_check, sigma_r, m)
+        blocks = StiffnessDecomposition.from_mesh(mesh, part).blocks
+
+        def rows(free, prescribed):
+            resultant = sp.csr_matrix(self.root * (self.m @ prescribed))
+            return sp.vstack([free[self.zero], resultant]).tocsr()
+
+        self.K_fr = [rows(b.K, b.Kbar.T) for b in blocks]
+        self.Kbar_fr = [rows(b.Kbar, b.Kbarbar) for b in blocks]
+        self.n_rows = len(self.p_vec)
         self.n_u = part.n_free
 
     def k_fr(self, kappa) -> sp.csr_matrix:
         return (kappa[0] * self.K_fr[0] + kappa[1] * self.K_fr[1]).tocsr()
 
     def solve(self, M: sp.csc_matrix, r: np.ndarray) -> np.ndarray:
-        """x with M x = r, for the solvers' two sparse systems: K K^T of the
-        minimum-norm correction and the normal matrix of the state
+        """x with M x = r, for the solvers' sparse systems: K K^T of the
+        minimum-norm correction and s K K^T + delta I of the state
         subproblem.  SolverError only when M does not factor."""
         return _factor(M).solve(r)
 
     def physics_residual(self, u, kappa) -> np.ndarray:
         return self.a_cols(u) @ kappa - self.p_vec
-
-    def a_cols(self, u) -> np.ndarray:
-        """A(u, ubar) as a dense (n_rows, 2) matrix of operator products."""
-        return np.column_stack(
-            [
-                self.K_fr[0] @ u + self.Kbar_fr[0] @ self.ubar,
-                self.K_fr[1] @ u + self.Kbar_fr[1] @ self.ubar,
-            ]
-        )
 
 
 @dataclass(eq=False)
@@ -178,28 +157,29 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
             tgt.append(math.sqrt(gamma_p) * kappa_init)
         return np.linalg.lstsq(np.vstack(rows), np.concatenate(tgt), rcond=None)[0]
 
-    def state_subproblem(kappa):
-        """Exact minimization over u at fixed kappa (sparse normal equations).
-
-        Solved in the offset w = u - d_u: the right-hand side is then a
-        residual-sized vector with no component along the weakly penalized
-        kernel of the physics rows, which keeps the kernel part of the state
-        at the data even for very small data weights.
-        """
+    def r0_of(kappa):
         K = ops.k_fr(kappa)
         b = ops.p_vec - (kappa[0] * ops.Kbar_fr[0] + kappa[1] * ops.Kbar_fr[1]) @ ops.ubar
-        r0 = b - K @ d_u  # physics residual carried by the data state
-        if flavor == "fem":
-            H = (sigma_s * (K.T @ K) + (sigma_d + gamma_s) * sp.identity(ops.n_u)).tocsc()
-            rhs = sigma_s * (K.T @ r0) + gamma_s * (u_init - d_u)
-        else:
-            # The semi-norm leaves ker(K_fr) free; a vanishing anchor keeps
-            # those directions at the data.
-            anchor = max(1e-12 * sigma_s * (K.power(2)).sum() / ops.n_u, 1e-300)
-            H = ((sigma_s + sigma_d) * (K.T @ K)
-                 + (anchor + gamma_s) * sp.identity(ops.n_u)).tocsc()
-            rhs = sigma_s * (K.T @ r0) + gamma_s * (u_init - d_u)
-        return d_u + ops.solve(H, rhs)
+        return K, b - K @ d_u  # the physics residual carried by the data state
+
+    def state_subproblem(kappa):
+        """Exact minimization over u at fixed kappa.
+
+        In the offset w = u - d_u the normal equations read
+        (s K^T K + delta I) w = sigma_s K^T r0 + gamma_s (u_init - d_u), with
+        s = sigma_s (+ sigma_d for the semi-norm) and delta = gamma_s
+        (+ sigma_d for the Euclidean mismatch).  K = K_fr(kappa) has fewer
+        rows than columns, so that matrix is singular to rounding once
+        s ||K||^2 exceeds delta / eps; the same w is w = K^T y + v, with
+        v = gamma_s (u_init - d_u) / delta and the full-rank system
+        (s K K^T + delta I) y = sigma_s r0 - s K v.
+        """
+        K, r0 = r0_of(kappa)
+        s = sigma_s + (sigma_d if flavor == "vfm" else 0.0)
+        delta = gamma_s + (sigma_d if flavor == "fem" else 0.0)
+        v = gamma_s / delta * (u_init - d_u) if gamma_s > 0.0 else np.zeros(ops.n_u)
+        M = (s * (K @ K.T) + delta * sp.identity(ops.n_rows)).tocsc()
+        return d_u + K.T @ ops.solve(M, sigma_s * r0 - s * (K @ v)) + v
 
     if method == "gauss_seidel":
         for it in range(1, max_iter + 1):
@@ -226,25 +206,16 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
     # iteration has no such valley and its fixed point satisfies the same
     # joint first-order conditions (the state equation holds exactly by
     # construction of the inner solve).
-    def r0_of(kappa):
-        K = ops.k_fr(kappa)
-        b = ops.p_vec - (kappa[0] * ops.Kbar_fr[0] + kappa[1] * ops.Kbar_fr[1]) @ ops.ubar
-        return K, b - K @ d_u
-
     k2_scale = float((ops.k_fr(kappa0).power(2)).sum()) / ops.n_rows
 
     if flavor == "vfm" and gamma_s == 0.0 and gamma_p == 0.0:
         # With v = K_fr w the inner minimum is v = sigma_s r0 / (sigma_s +
         # sigma_d), so the projected objective is proportional to ||r0||^2 --
-        # the equilibrium-gap objective.  Its minimizer solves the direct
-        # normal equations; the kernel part of the state stays at the data.
-        for it in range(1, max_iter + 1):
-            kappa_prev = kappa.copy()
-            K, r0 = r0_of(kappa)
-            A = ops.a_cols(d_u)
-            kappa = np.linalg.lstsq(A, ops.p_vec, rcond=None)[0]
-            if np.linalg.norm(kappa - kappa_prev) <= 1e-12 * (1.0 + np.linalg.norm(kappa)):
-                break
+        # the equilibrium-gap objective, minimized by one least-squares
+        # solve of A(d_u) kappa = p_vec; the kernel part of the state stays
+        # at the data.
+        it = 1
+        kappa = np.linalg.lstsq(ops.a_cols(d_u), ops.p_vec, rcond=None)[0]
         K, r0 = r0_of(kappa)
         shrink = sigma_s / (sigma_s + sigma_d)
         lam_mn = ops.solve((K @ K.T).tocsc(), shrink * r0)

@@ -328,11 +328,13 @@ def reduced2_multiplier_residual(decomp, data, kappa_c, pbar, ubar) -> float:
     least-squares solution.
     ``kappa_c`` is in (C11, C12) coordinates.
     """
+    from .mesh_fem import assemble_parameter_matrices  # loaded with decomp's module
+
     d_u, W_u = data
     u, lu = decomp.solve(kappa_c, pbar, ubar)
     rhs = -(W_u**2) * (u - d_u)
     lam_u = lu.solve(rhs, trans="T")
-    a_s, _ = decomp.a_matrices(u, ubar)
+    a_s, _ = assemble_parameter_matrices(decomp.mesh, decomp.part, u, ubar)
     resid = a_s.T @ lam_u
     scale = 1.0 + np.linalg.norm(a_s.T @ ((W_u**2) * d_u))
     return float(np.linalg.norm(resid) / scale)

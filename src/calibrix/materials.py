@@ -424,10 +424,11 @@ def uniaxial_plastic_driver(
     This is the 3x3 model of :func:`integrate_viscoplastic_step` at the
     exact lateral strain.
 
-    ``dt`` is a scalar step duration or an array of length ``len(axial_strain) - 1``;
-    a step that is not positive and finite raises IntegrationError at that
-    step.  Strains and step sizes are read as Python floats, as the
-    parameters are stored, so every step runs on Python-float arithmetic.
+    ``dt`` is a scalar step duration or an array of length
+    ``len(axial_strain) - 1``; any other shape raises DriverError, and a step
+    that is not positive and finite raises IntegrationError at that step.
+    Strains and step sizes are read as Python floats, as the parameters are
+    stored, so every step runs on Python-float arithmetic.
     """
     eps = np.asarray(axial_strain, dtype=float)
     if eps.ndim != 1 or eps.size == 0:
@@ -437,7 +438,11 @@ def uniaxial_plastic_driver(
     if not np.isfinite(eps).all():
         raise DriverError("axial strain history must be finite")
     n = eps.size
-    dts = np.broadcast_to(np.asarray(dt, dtype=float), (n - 1,)).tolist() if n > 1 else []
+    dt = np.asarray(dt, dtype=float)
+    if dt.ndim != 0 and dt.shape != (n - 1,):
+        raise DriverError(f"dt must be a scalar or hold len(axial_strain) - 1 = {n - 1} "
+                          f"step sizes, got shape {dt.shape}")
+    dts = np.broadcast_to(dt, (n - 1,)).tolist()
     E, K, G = ep.E, ep.bulk, ep.shear
     k, b, c15 = pp.k, pp.b, 1.5 * pp.c
     viscous, rate = not pp.rate_independent, pp.eta * math.sqrt(1.5)

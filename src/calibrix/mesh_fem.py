@@ -115,6 +115,20 @@ class Mesh:
     def n_elements(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _element_dofs(self) -> np.ndarray:
+        """Global dofs of each element, (n_el, 8), two per node in node order."""
+        dofs = np.empty((self.n_elements, 8), dtype=np.int64)
+        dofs[:, 0::2] = 2 * self.elements
+        dofs[:, 1::2] = 2 * self.elements + 1
+        return dofs
+
+    @cached_property
+    def _basis_stiffness(self) -> tuple:
+        """Element stiffness matrices (n_el, 8, 8), one stack per ``_C_BASIS``
+        matrix, computed on first use."""
+        return _element_stiffness(self, *_C_BASIS)
+
 
 def _jacobian_determinants(nodes, elements) -> np.ndarray:
     coords = nodes[elements]  # (n_el, 4, 2)
@@ -223,15 +237,14 @@ def default_resultant_selector(mesh: Mesh, part: DofPartition) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _element_gauss_data(mesh: Mesh, elements=None):
+def _element_gauss_data(mesh: Mesh):
     """B matrices and scaled integration weights for all elements.
 
     Returns B with shape (n_el, n_gp, 3, 8) and w = weight * det(J) * t with
     shape (n_el, n_gp).  Voigt order (e11, e22, g12).
     """
-    els = mesh.elements if elements is None else elements
-    coords = mesh.nodes[els]
-    n_el = len(els)
+    coords = mesh.nodes[mesh.elements]
+    n_el = mesh.n_elements
     n_gp = len(GAUSS_POINTS)
     B = np.zeros((n_el, n_gp, 3, 8))
     w = np.empty((n_el, n_gp))
@@ -266,23 +279,24 @@ class PartitionedStiffness:
     Kbarbar: sp.csr_matrix
 
 
-def _assemble_global(mesh: Mesh, C: np.ndarray) -> sp.csr_matrix:
+def _element_stiffness(mesh: Mesh, *Cs: np.ndarray) -> tuple:
+    """Element stiffness matrices (n_el, 8, 8) for each elasticity matrix in Cs."""
+    B, w = _element_gauss_data(mesh)
+    return tuple(np.einsum("egai,ab,egbj,eg->eij", B, C, B, w, optimize=True) for C in Cs)
+
+
+def _assemble_global(mesh: Mesh, k_all: np.ndarray) -> sp.csr_matrix:
+    """Sum the element matrices k_all (n_el, 8, 8) into the global stiffness."""
     import scipy.sparse as sp
 
-    B, w = _element_gauss_data(mesh)
-    k_all = np.einsum("egai,ab,egbj,eg->eij", B, C, B, w, optimize=True)
-    dofs = np.empty((mesh.n_elements, 8), dtype=np.int64)
-    dofs[:, 0::2] = 2 * mesh.elements
-    dofs[:, 1::2] = 2 * mesh.elements + 1
+    dofs = mesh._element_dofs
     rows = np.repeat(dofs, 8, axis=1).ravel()
     cols = np.tile(dofs, (1, 8)).ravel()
     S = sp.coo_matrix((k_all.ravel(), (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs))
     return S.tocsr()
 
 
-def assemble_stiffness(mesh: Mesh, part: DofPartition, C: np.ndarray) -> PartitionedStiffness:
-    """Assemble and partition the global stiffness matrix."""
-    S = _assemble_global(mesh, C)
+def _partition(S: sp.csr_matrix, part: DofPartition) -> PartitionedStiffness:
     Sf = S[part.free]
     Sp = S[part.prescribed]
     return PartitionedStiffness(
@@ -290,6 +304,11 @@ def assemble_stiffness(mesh: Mesh, part: DofPartition, C: np.ndarray) -> Partiti
         Kbar=Sf[:, part.prescribed].tocsr(),
         Kbarbar=Sp[:, part.prescribed].tocsr(),
     )
+
+
+def assemble_stiffness(mesh: Mesh, part: DofPartition, C: np.ndarray) -> PartitionedStiffness:
+    """Assemble and partition the global stiffness matrix."""
+    return _partition(_assemble_global(mesh, _element_stiffness(mesh, C)[0]), part)
 
 
 def _condition_estimate(K: sp.spmatrix, lu=None) -> float:
@@ -320,7 +339,7 @@ def _factor(K: sp.csc_matrix):
     """SuperLU factors of K; SolverError with a condition estimate if singular.
 
     Every matrix calibrix factors is symmetric positive definite: K(kappa),
-    K_fr K_fr^T and the AAO state subproblem's normal matrix.  So SuperLU runs
+    and K_fr K_fr^T plus a non-negative multiple of I in AAO.  So SuperLU runs
     in symmetric mode, with a minimum-degree order of K + K^T and diagonal
     pivots; ``_factor_solve``'s residual check catches the inaccurate factors
     this can give for an indefinite K.
@@ -403,29 +422,45 @@ def assemble_parameter_matrices(
     For the coefficient vector kappa = (C11, C12):
         A_S(u, ubar) kappa    == K(kappa) u + Kbar(kappa) ubar
         Abar_S(u, ubar) kappa == Kbar(kappa)^T u + Kbarbar(kappa) ubar
-    Built element-wise from the Gauss-point strains, independent of the
-    stiffness assembly path.
+    Column j multiplies each element's displacements by its stiffness matrix
+    for ``_C_BASIS[j]`` and sums the products into the global dofs, element
+    by element (Hughes, Levit & Winget, 1983).  The element matrices are
+    computed once per mesh, and numpy alone runs here.
     """
     full = part.merge(np.asarray(u, dtype=float), np.asarray(ubar, dtype=float))
-    B, w = _element_gauss_data(mesh)
-    dofs = np.empty((mesh.n_elements, 8), dtype=np.int64)
-    dofs[:, 0::2] = 2 * mesh.elements
-    dofs[:, 1::2] = 2 * mesh.elements + 1
-    ue = full[dofs]  # (n_el, 8)
-    strain = np.einsum("egai,ei->ega", B, ue)  # (n_el, n_gp, 3)
-    # Columns of the 3x2 coefficient map applied to the strain:
-    # C(kappa) strain = kappa_1 * (e11, e22, g/2) + kappa_2 * (e22, e11, -g/2)
-    es = np.empty(strain.shape[:2] + (3, 2))
-    es[..., 0, 0] = strain[..., 0]
-    es[..., 1, 0] = strain[..., 1]
-    es[..., 2, 0] = 0.5 * strain[..., 2]
-    es[..., 0, 1] = strain[..., 1]
-    es[..., 1, 1] = strain[..., 0]
-    es[..., 2, 1] = -0.5 * strain[..., 2]
-    contrib = np.einsum("egai,egak,eg->eik", B, es, w, optimize=True)  # (n_el, 8, 2)
-    a_full = np.zeros((mesh.n_dofs, 2))
-    np.add.at(a_full, dofs.ravel(), contrib.reshape(-1, 2))
+    dofs = mesh._element_dofs
+    ue = full[dofs]
+    a_full = np.column_stack([
+        np.bincount(dofs.ravel(), weights=np.einsum("eij,ej->ei", k, ue).ravel(),
+                    minlength=mesh.n_dofs)
+        for k in mesh._basis_stiffness
+    ])
     return a_full[part.free], a_full[part.prescribed]
+
+
+class _EquilibriumRows:
+    """The reduced equilibrium system A(u) kappa = p_vec that VFM and AAO
+    solve.  Its rows are the free dofs that carry no applied load, plus one
+    sqrt(sigma_r)-scaled row for the reaction resultant that ``m`` selects
+    (default: the component opposing the net applied load); p_vec is zero
+    except for the scaled measured resultant p_check.
+    """
+
+    def __init__(self, mesh: Mesh, part: DofPartition, p_check: float, sigma_r: float,
+                 m: np.ndarray | None = None):
+        self.mesh = mesh
+        self.part = part
+        self.m = default_resultant_selector(mesh, part) if m is None else m
+        self.zero = zero_force_rows(mesh, part)
+        self.root = math.sqrt(sigma_r)
+        self.ubar = prescribed_values(mesh, part)
+        self.p_vec = np.zeros(len(self.zero) + 1)
+        self.p_vec[-1] = self.root * p_check
+
+    def a_cols(self, u: np.ndarray) -> np.ndarray:
+        """A(u, ubar) as a dense (n_rows, 2) matrix: the rows of A_S and Abar_S."""
+        a_s, abar_s = assemble_parameter_matrices(self.mesh, self.part, u, self.ubar)
+        return np.vstack([a_s[self.zero], self.root * (self.m @ abar_s)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,16 +497,8 @@ def assemble_vfm_system(
         )
     if not np.all(np.isfinite(d_u)) or not np.isfinite(p_check):
         raise DataCoverageError("displacement or resultant data contains non-finite entries")
-    if m is None:
-        m = default_resultant_selector(mesh, part)
-    ubar = prescribed_values(mesh, part)
-    a_s, abar_s = assemble_parameter_matrices(mesh, part, d_u, ubar)
-    zero = zero_force_rows(mesh, part)
-    root = math.sqrt(sigma_r)
-    A = np.vstack([a_s[zero], root * (m @ abar_s)])
-    p_vec = np.zeros(len(zero) + 1)
-    p_vec[-1] = root * p_check
-    return VfmSystem(A=A, p_vec=p_vec, sigma_r=sigma_r)
+    rows = _EquilibriumRows(mesh, part, p_check, sigma_r, m)
+    return VfmSystem(A=rows.a_cols(d_u), p_vec=rows.p_vec, sigma_r=sigma_r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,9 +506,10 @@ class StiffnessDecomposition:
     """The stiffness blocks split by elasticity coefficient.
 
     K(kappa) = kappa_1 K_a + kappa_2 K_b (same for the other blocks), so the
-    blocks at any kappa and the equilibrium-map columns cost only sparse
-    combinations.  ``solve`` factors ``stiffness(kappa).K`` afresh on each
-    call.
+    blocks at any kappa cost only a sparse combination.  ``from_mesh``
+    assembles the two from the mesh's element matrices per basis, the ones
+    ``assemble_parameter_matrices`` multiplies.  ``solve`` factors
+    ``stiffness(kappa).K`` afresh on each call.
 
     ``spectrum`` caches, on first use, the eigenpairs of the pencil
     (K_b, K_a), which diagonalize K(kappa) for every kappa at once;
@@ -495,7 +523,7 @@ class StiffnessDecomposition:
 
     @classmethod
     def from_mesh(cls, mesh: Mesh, part: DofPartition) -> "StiffnessDecomposition":
-        blocks = tuple(assemble_stiffness(mesh, part, C) for C in _C_BASIS)
+        blocks = tuple(_partition(_assemble_global(mesh, k), part) for k in mesh._basis_stiffness)
         return cls(mesh=mesh, part=part, blocks=blocks)
 
     def stiffness(self, kappa) -> PartitionedStiffness:
@@ -576,15 +604,6 @@ class StiffnessDecomposition:
                 return None if _inaccurate(u, r, rhs) is not None else u
 
         return solve
-
-    def a_matrices(self, u, ubar) -> tuple[np.ndarray, np.ndarray]:
-        """A_S and Abar_S columns as stiffness-block matvecs."""
-        a, b = self.blocks
-        a_s = np.column_stack([a.K @ u + a.Kbar @ ubar, b.K @ u + b.Kbar @ ubar])
-        abar_s = np.column_stack(
-            [a.Kbar.T @ u + a.Kbarbar @ ubar, b.Kbar.T @ u + b.Kbarbar @ ubar]
-        )
-        return a_s, abar_s
 
 
 # ---------------------------------------------------------------------------

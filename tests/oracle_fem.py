@@ -1,14 +1,23 @@
-"""Element-by-element references for the vectorised finite-element assembly.
+"""Independent references for the vectorised finite-element assembly.
 
 ``element_stiffness_from_coords`` integrates one Q4 element with its own
 Jacobian solve per Gauss point; ``full_stiffness`` rebuilds the dense global
-matrix from the partitioned blocks.
+matrix from the partitioned blocks; ``parameter_matrices_from_strains``
+builds the equilibrium map A_S from Gauss-point strains and a coefficient map
+written out by hand, not from element stiffness matrices.
 """
 
 import numpy as np
 
 from calibrix.errors import GeometryError
-from calibrix.mesh_fem import GAUSS_POINTS, GAUSS_WEIGHTS, Mesh, shape_gradients
+from calibrix.mesh_fem import (
+    GAUSS_POINTS,
+    GAUSS_WEIGHTS,
+    DofPartition,
+    Mesh,
+    _element_gauss_data,
+    shape_gradients,
+)
 
 
 def element_stiffness_from_coords(coords, C, thickness, label="element") -> np.ndarray:
@@ -45,3 +54,29 @@ def full_stiffness(stiff) -> np.ndarray:
     top = np.hstack([stiff.K.toarray(), stiff.Kbar.toarray()])
     bottom = np.hstack([stiff.Kbar.T.toarray(), stiff.Kbarbar.toarray()])
     return np.vstack([top, bottom])
+
+
+def parameter_matrices_from_strains(mesh: Mesh, part: DofPartition, u, ubar):
+    """A_S (n_u x 2) and Abar_S (n_p x 2) from the Gauss-point strains.
+
+    C(kappa) strain = kappa_1 (e11, e22, g/2) + kappa_2 (e22, e11, -g/2), so
+    column j integrates B^T times the j-th of these vectors over each element
+    and sums the results into the global dofs.
+    """
+    full = part.merge(np.asarray(u, dtype=float), np.asarray(ubar, dtype=float))
+    B, w = _element_gauss_data(mesh)
+    dofs = np.empty((mesh.n_elements, 8), dtype=np.int64)
+    dofs[:, 0::2] = 2 * mesh.elements
+    dofs[:, 1::2] = 2 * mesh.elements + 1
+    strain = np.einsum("egai,ei->ega", B, full[dofs])  # (n_el, n_gp, 3)
+    es = np.empty(strain.shape[:2] + (3, 2))
+    es[..., 0, 0] = strain[..., 0]
+    es[..., 1, 0] = strain[..., 1]
+    es[..., 2, 0] = 0.5 * strain[..., 2]
+    es[..., 0, 1] = strain[..., 1]
+    es[..., 1, 1] = strain[..., 0]
+    es[..., 2, 1] = -0.5 * strain[..., 2]
+    contrib = np.einsum("egai,egak,eg->eik", B, es, w, optimize=True)  # (n_el, 8, 2)
+    a_full = np.zeros((mesh.n_dofs, 2))
+    np.add.at(a_full, dofs.ravel(), contrib.reshape(-1, 2))
+    return a_full[part.free], a_full[part.prescribed]

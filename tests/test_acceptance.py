@@ -39,6 +39,7 @@ from calibrix.materials import (
     integrate_viscoplastic_step,
     uniaxial_plastic_driver,
 )
+from calibrix.mesh_fem import assemble_parameter_matrices
 from calibrix.synthetic_data import ObservationSet, assemble_data_vector
 from calibrix.uq import covariance_and_ci, ensemble_sample, gaussian_error_propagation, monte_carlo_convert, two_step_covariance
 from oracle_plasticity import uniaxial_explicit_reference
@@ -208,7 +209,7 @@ def test_criterion_06_sensitivity_correctness(big_case, big_clean):
     # cond_1(K) ~ 1e5. Hence r = 1e-5, where the error is ~1.5e-8. A forward
     # difference has truncation O(r), so its best error here (~7e-7 near
     # r = 3e-7) sits at the bound and cannot resolve it. ubar = 0 on this
-    # plate, so the Kbar ubar terms of a_matrices are not exercised here.
+    # plate, so the Kbar ubar terms of the equilibrium map are not exercised here.
     case = big_case
     kappa_c = np.array(c_coords_from_E_nu(205000.0, 0.29))
 
@@ -224,7 +225,7 @@ def test_criterion_06_sensitivity_correctness(big_case, big_clean):
     h = 1e-5 * np.abs(kappa_c)
     J_nd = 0.5 * (jacobian_external_nd(model, kappa_c, steps=h, base=u)
                   + jacobian_external_nd(model, kappa_c, steps=-h, base=u))
-    a_s, _ = case.decomp.a_matrices(u, case.ubar)
+    a_s, _ = assemble_parameter_matrices(case.coarse, case.part, u, case.ubar)
     J_exact = np.column_stack([-lu.solve(a_s[:, 0]), -lu.solve(a_s[:, 1])])
     rel = np.linalg.norm(J_nd - J_exact) / np.linalg.norm(J_exact)
 

@@ -77,21 +77,38 @@ class TestKktSolve:
 
 class TestStateSolve:
     def test_bit_identical_to_fresh_factorization(self):
-        # H can be so ill-conditioned that two LUs agree in no digit, so the
-        # general LU bounds the residual, not the solution.
+        # M squares K's condition, so the general LU bounds the residual,
+        # not the solution.
         mesh = quarter_plate_mesh(30, 25)
         ops = AaoOperators(mesh, DofPartition.from_mesh(mesh), 1500.0)
         rng = np.random.default_rng(1)
         for i in range(10):
             K = ops.k_fr(DEFAULT_KAPPA0 * rng.uniform(0.8, 1.2, 2))
-            # The state subproblem's normal matrix, as both AAO flavors form it.
-            H = (K.T @ K + rng.uniform(1e-6, 1.0) * sp.identity(ops.n_u)).tocsc()
-            rhs = rng.normal(size=ops.n_u)
-            x = ops.solve(H, rhs)
-            assert np.array_equal(x.view(np.int64), _factor(H).solve(rhs).view(np.int64)), i
-            oracle = general_lu(H).solve(rhs)
-            assert (np.linalg.norm(H @ x - rhs)
-                    <= 10.0 * np.linalg.norm(H @ oracle - rhs)), i
+            # The state subproblem's matrix s K K^T + delta I, as both AAO
+            # flavors form it.
+            M = (rng.uniform(1.0, 1e8) * (K @ K.T)
+                 + rng.uniform(0.0, 1.0) * sp.identity(ops.n_rows)).tocsc()
+            rhs = rng.normal(size=ops.n_rows)
+            x = ops.solve(M, rhs)
+            assert np.array_equal(x.view(np.int64), _factor(M).solve(rhs).view(np.int64)), i
+            oracle = general_lu(M).solve(rhs)
+            assert (np.linalg.norm(M @ x - rhs)
+                    <= 10.0 * np.linalg.norm(M @ oracle - rhs)), i
+
+    @pytest.mark.parametrize("n_c, n_r, sigma", [(12, 10, 0.0), (14, 12, 1e-6)])
+    def test_state_solve_where_normal_matrix_is_singular_to_rounding(self, n_c, n_r, sigma):
+        # At sigma_s = 1e8, sigma_d = 1 the state subproblem's normal matrix
+        # sigma_s K^T K + sigma_d I is singular in double precision (K_fr has
+        # fewer rows than columns), and its symmetric-mode factorization
+        # failed as "exactly singular" on these plates.  Through K K^T the
+        # block solver converges to the direct estimate.
+        case = make_plate_case(n_c, n_r, fine_factor=2)
+        data = plate_observations(case, sigma, seed=1, matched=True)
+        vfm = solve_vfm(case.coarse, case.part, data)
+        result = aao_fem_solve(case.coarse, case.part, data, sigma_s=1e8, sigma_d=1.0,
+                               method="gauss_seidel")
+        assert result.converged
+        assert np.all(np.abs(result.kappa_c - vfm.kappa_c) <= 1e-3 * np.abs(vfm.kappa_c))
 
 
 class TestAaoFem:
@@ -166,6 +183,17 @@ class TestAaoVfm:
         vfm = solve_vfm(plate_small.coarse, plate_small.part, plate_small_clean)
         result = aao_vfm_solve(plate_small.coarse, plate_small.part, plate_small_clean)
         assert_allclose(result.kappa_c, vfm.kappa_c, rtol=1e-9)
+
+    def test_equilibrium_gap_collapse_is_one_solve(self, plate_small, plate_small_noisy):
+        # Without regularisation the joint problem collapses to the direct
+        # least-squares problem, whose matrix does not depend on kappa: one
+        # solve gives VFM's single-step estimate.
+        vfm = solve_vfm(plate_small.coarse, plate_small.part, plate_small_noisy)
+        result = aao_vfm_solve(plate_small.coarse, plate_small.part, plate_small_noisy)
+        assert result.message == "equilibrium-gap collapse"
+        assert result.iterations == 1
+        assert (np.linalg.norm(result.kappa_c - vfm.kappa_c)
+                <= 1e-10 * np.linalg.norm(vfm.kappa_c))
 
     def test_inner_state_subproblem_stationary(self, plate_small, plate_small_clean):
         # kappa fixed at the truth, state free: the returned state must make

@@ -883,6 +883,18 @@ class TestUniaxialDriver:
             with pytest.raises(IntegrationError, match=re.escape(message)):
                 integrate_viscoplastic_step(*step)
 
+    @pytest.mark.parametrize("dt, shape", [(np.full(3, 0.1), (3,)),
+                                           (np.full((5, 1), 0.1), (5, 1))])
+    def test_step_sizes_must_match_strains(self, dt, shape):
+        # Six strains take five steps: an array dt of any other shape is a
+        # DriverError naming both, for eta = 0 and eta > 0 alike.
+        eps = np.linspace(0.0, 0.01, 6)
+        for pp in (PlasticParams(**HARDENING), PlasticParams(**HARDENING, eta=1e-2, r=1.5)):
+            with pytest.raises(DriverError, match=re.escape(
+                    f"dt must be a scalar or hold len(axial_strain) - 1 = 5 step sizes, "
+                    f"got shape {shape}")):
+                uniaxial_plastic_driver(eps, dt, steel_elastic(), pp)
+
     def test_history_must_start_at_zero(self):
         ep = steel_elastic()
         pp = PlasticParams(**HARDENING)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import calibrix.mesh_fem as mesh_fem
 from calibrix.errors import (
     CalibrixError,
     ConfigError,
@@ -42,7 +43,12 @@ from calibrix.mesh_fem import (
 )
 from calibrix.meshes import quarter_plate_mesh
 from cases import general_lu, rectangle_mesh, uniaxial_patch_mesh
-from oracle_fem import element_stiffness, element_stiffness_from_coords, full_stiffness
+from oracle_fem import (
+    element_stiffness,
+    element_stiffness_from_coords,
+    full_stiffness,
+    parameter_matrices_from_strains,
+)
 
 C_STEEL = elasticity_matrix_plane_stress(ElasticParams(E=210000.0, nu=0.3))
 KAPPA_STEEL = np.array(c_coords_from_E_nu(210000.0, 0.3))
@@ -274,10 +280,55 @@ class TestParameterMatrices:
         stiff = decomp.stiffness(KAPPA_STEEL)
         direct = assemble_stiffness(mesh, part, C_STEEL)
         assert np.abs((stiff.K - direct.K)).max() <= 1e-9
+        # The equilibrium map agrees with the sparse blocks it shares its
+        # element matrices with.
         a_s, abar_s = assemble_parameter_matrices(mesh, part, u, ubar)
-        a_s2, abar_s2 = decomp.a_matrices(u, ubar)
-        assert_allclose(a_s2, a_s, rtol=1e-9, atol=1e-12)
-        assert_allclose(abar_s2, abar_s, rtol=1e-9, atol=1e-12)
+        a, b = decomp.blocks
+        assert_allclose(a_s, np.column_stack([a.K @ u + a.Kbar @ ubar, b.K @ u + b.Kbar @ ubar]),
+                        rtol=1e-9, atol=1e-12)
+        assert_allclose(abar_s, np.column_stack([a.Kbar.T @ u + a.Kbarbar @ ubar,
+                                                 b.Kbar.T @ u + b.Kbarbar @ ubar]),
+                        rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("n_c, n_r", [(12, 10), (30, 25)])
+    def test_decomposition_blocks_bit_identical_to_assembly(self, n_c, n_r):
+        mesh = quarter_plate_mesh(n_c, n_r)
+        part = DofPartition.from_mesh(mesh)
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        for block, C in zip(decomp.blocks, _C_BASIS):
+            direct = assemble_stiffness(mesh, part, C)
+            for name in ("K", "Kbar", "Kbarbar"):
+                got, want = getattr(block, name), getattr(direct, name)
+                assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), name
+                assert np.array_equal(got.indices, want.indices), name
+                assert np.array_equal(got.indptr, want.indptr), name
+
+    @pytest.mark.parametrize("n_c, n_r", [(12, 10), (30, 25)])
+    def test_matches_strain_oracle(self, n_c, n_r):
+        # The element-matrix product against the independent Gauss-point
+        # strain form, on random states with and without prescribed values.
+        mesh = quarter_plate_mesh(n_c, n_r)
+        part = DofPartition.from_mesh(mesh)
+        rng = np.random.default_rng(n_c)
+        for ubar in (np.zeros(part.n_prescribed), rng.normal(size=part.n_prescribed)):
+            u = rng.normal(size=part.n_free)
+            got = assemble_parameter_matrices(mesh, part, u, ubar)
+            want = parameter_matrices_from_strains(mesh, part, u, ubar)
+            for g, w in zip(got, want):
+                assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+    def test_element_matrices_computed_once_per_mesh(self, monkeypatch):
+        mesh = quarter_plate_mesh(6, 5)
+        part = DofPartition.from_mesh(mesh)
+        calls = []
+        kernel = mesh_fem._element_stiffness
+        monkeypatch.setattr(mesh_fem, "_element_stiffness",
+                            lambda *args: calls.append(len(args) - 1) or kernel(*args))
+        StiffnessDecomposition.from_mesh(mesh, part)
+        u, ubar = np.ones(part.n_free), np.ones(part.n_prescribed)
+        for _ in range(3):
+            assemble_parameter_matrices(mesh, part, u, ubar)
+        assert calls == [len(_C_BASIS)]
 
 
 def _plate_bayes_kappas(n, seed):
