@@ -102,13 +102,13 @@ def plate_log_posterior(case: PlateCase, data: ObservationSet, sigma_e: float,
     enter the likelihood.
 
     The plate is solved through the stiffness pencil's spectrum
-    (``StiffnessDecomposition.spectral_solver``), not by a sparse LU per call:
-    after a dense set-up on the first call of this function, an evaluation
-    costs two dense matrix-vector products and the LU path's residual check.
-    The values match ``plate_forward_model`` to rounding.  An evaluation whose
-    spectral solution fails that check calls ``plate_displacements``, the LU
-    path, instead; so every kappa the LU path accepts is accepted, and a
-    singular kappa raises the LU path's SolverError.
+    (``StiffnessDecomposition.spectral_solver``), not by a sparse
+    factorization per call: after a dense set-up on the first call of this
+    function, an evaluation costs two dense matrix-vector products and the
+    factoring path's residual check.  The values match ``plate_forward_model``
+    to rounding.  An evaluation whose spectral solution fails that check calls
+    ``plate_displacements``, the factoring path, instead; so every kappa that
+    path accepts is accepted, and a singular kappa raises its SolverError.
     """
     d, _, _ = data.select(("u1", "u2"))
     lower = np.asarray(lower, dtype=float)

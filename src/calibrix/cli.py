@@ -7,17 +7,13 @@ the parameters unidentifiable (IdentifiabilityError) also exit 2: the problem
 as configured is ill-posed, which no solver setting can mend.
 
 Each command imports only what it runs: ``--version``, ``--help``, ``report``
-and config errors load neither numpy nor scipy, and scipy is loaded only where
-a sparse matrix is built or factored: ``generate``, ``calibrate`` with the
-reduced and all-at-once methods and ``uq --method asymptotic`` factor, while
-``uq --method bayes`` builds the stiffness blocks but loads scipy's sparse
-solver only if a spectral solve fails its check.
+and config errors load no numpy, and every other command runs on numpy alone;
+no command loads scipy.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 
@@ -48,14 +44,6 @@ def _header(cfg: Config, kind: str) -> list:
     ]
 
 
-def _import_solver() -> None:
-    """Import scipy's sparse solver before a factoring command reads its mesh:
-    imported later, glibc's heap gives every SuperLU factorization fresh pages
-    (2 450 factorizations of the 264-dof plate took 2.2 times the page faults
-    and 0.1 s more system time)."""
-    importlib.import_module("scipy.sparse.linalg")
-
-
 def _load_mesh(cfg: Config, key: str = "mesh_file"):
     from .mesh_fem import read_mesh_file
 
@@ -68,7 +56,6 @@ def _load_mesh(cfg: Config, key: str = "mesh_file"):
 def cmd_generate(cfg: Config) -> int:
     from .synthetic_data import generate_plate_data, write_observation_csv
 
-    _import_solver()
     mesh = _load_mesh(cfg)
     if cfg.has("fine_mesh_file"):
         fine = _load_mesh(cfg, "fine_mesh_file")
@@ -136,8 +123,6 @@ def cmd_calibrate(cfg: Config, method: str) -> int:
         raise ConfigError(f"unknown method {method!r}; choose from {CALIBRATE_METHODS}")
     import numpy as np
 
-    if method != "vfm":
-        _import_solver()
     mesh, part, data = _calibration_inputs(cfg)
     lines = _header(cfg, "calibration")
     lines.append(f"method = {method}")
@@ -285,8 +270,6 @@ def cmd_uq(cfg: Config, method: str, jobs: int = 1) -> int:
         raise ConfigError(f"unknown method {method!r}; choose from {UQ_METHODS}")
     import numpy as np
 
-    if method == "asymptotic":
-        _import_solver()
     lines = _header(cfg, "uq")
     lines.append(f"method = {method}")
 
@@ -300,8 +283,11 @@ def cmd_uq(cfg: Config, method: str, jobs: int = 1) -> int:
         model = plate_forward_model(case)
         kappa0 = np.array([cfg.get_float("kappa0_E", 180000.0),
                            cfg.get_float("kappa0_nu", 0.35)])
+        level = cfg.get_float("level", 0.95)
+        if not 0.0 < level < 1.0:
+            raise ConfigError(f"level must lie in (0, 1), got {level!r}")
         result = solve_nls(model, data, kappa0)
-        report = covariance_and_ci(result, level=cfg.get_float("level", 0.95))
+        report = covariance_and_ci(result, level=level)
         lines += report.format().splitlines()
         _write_report(cfg.get_str("report_out", "uq.txt"), lines)
         return 0 if result.converged else 3

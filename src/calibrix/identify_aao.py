@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DivergenceError
 from .materials import E_nu_from_c_coords
@@ -31,6 +30,8 @@ from .mesh_fem import (
     DofPartition,
     Mesh,
     StiffnessDecomposition,
+    _combine,
+    _Csr,
     _EquilibriumRows,
     _factor,
 )
@@ -45,6 +46,11 @@ class AaoOperators(_EquilibriumRows):
     stiffness blocks that the reduced equilibrium system keeps, the rows of
     VFM's system; ``a_cols`` gives A(u), with A(u) kappa = K_fr(kappa) u +
     Kbar_fr(kappa) ubar, from the same rows of the element-by-element map.
+
+    K_fr K_fr^T = kappa_1^2 K_a K_a^T + kappa_1 kappa_2 (K_a K_b^T + K_b K_a^T)
+    + kappa_2^2 K_b K_b^T: the three products are formed once, on one
+    pattern, and ``kkt`` combines them.  Its rows are eliminated in the
+    mesh's order of their dofs, and the dense resultant row last.
     """
 
     def __init__(self, mesh: Mesh, part: DofPartition, p_check: float,
@@ -52,26 +58,69 @@ class AaoOperators(_EquilibriumRows):
         super().__init__(mesh, part, p_check, sigma_r, m)
         blocks = StiffnessDecomposition.from_mesh(mesh, part).blocks
 
-        def rows(free, prescribed):
-            resultant = sp.csr_matrix(self.root * (self.m @ prescribed))
-            return sp.vstack([free[self.zero], resultant]).tocsr()
+        def rows(free, resultant):
+            """free's zero-load rows, then the scaled resultant row."""
+            top = free.select(self.zero, np.ones(free.shape[1], dtype=bool))
+            last = self.root * resultant
+            cols = np.flatnonzero(last)
+            indptr = np.append(top.indptr, top.indptr[-1] + cols.size)
+            return _Csr(np.append(top.data, last[cols]), np.append(top.indices, cols), indptr,
+                        (top.shape[0] + 1, top.shape[1]))
 
-        self.K_fr = [rows(b.K, b.Kbar.T) for b in blocks]
-        self.Kbar_fr = [rows(b.Kbar, b.Kbarbar) for b in blocks]
+        self.K_fr = [rows(b.K, b.Kbar.matvec(self.m)) for b in blocks]
+        self.Kbar_fr = [rows(b.Kbar, b.Kbarbar.rmatvec(self.m)) for b in blocks]
         self.n_rows = len(self.p_vec)
         self.n_u = part.n_free
+        self._gram, self._gram_terms = _gram_products(*self.K_fr)
+        self._diagonal = self._gram.rows == self._gram.indices
+        rank = np.empty(self.n_u, dtype=np.int64)
+        rank[blocks[0].order] = np.arange(self.n_u)
+        self._order = np.append(np.argsort(rank[self.zero], kind="stable"), self.n_rows - 1)
 
-    def k_fr(self, kappa) -> sp.csr_matrix:
-        return (kappa[0] * self.K_fr[0] + kappa[1] * self.K_fr[1]).tocsr()
+    def k_fr(self, kappa) -> _Csr:
+        return _combine(kappa, *self.K_fr)
 
-    def solve(self, M: sp.csc_matrix, r: np.ndarray) -> np.ndarray:
-        """x with M x = r, for the solvers' sparse systems: K K^T of the
+    def kkt(self, kappa, s: float = 1.0, delta: float = 0.0) -> _Csr:
+        """s K_fr(kappa) K_fr(kappa)^T + delta I."""
+        aa, ab, bb = self._gram_terms
+        k0, k1 = kappa
+        data = s * (k0 * k0 * aa + k0 * k1 * ab + k1 * k1 * bb)
+        data[self._diagonal] += delta
+        return self._gram.like(data)
+
+    def solve(self, M: _Csr, r: np.ndarray) -> np.ndarray:
+        """x with M x = r, for the solvers' systems from ``kkt``: K K^T of the
         minimum-norm correction and s K K^T + delta I of the state
         subproblem.  SolverError only when M does not factor."""
-        return _factor(M).solve(r)
+        return _factor(M, self._order, border=1).solve(r)
 
     def physics_residual(self, u, kappa) -> np.ndarray:
         return self.a_cols(u) @ kappa - self.p_vec
+
+
+def _gram_products(a: _Csr, b: _Csr):
+    """The pattern of a a^T and the data of a a^T, a b^T + b a^T and b b^T on
+    it, for a and b on one pattern: every pair of entries that share a
+    column adds a product to the entry of their two rows."""
+    by_col = np.argsort(a.indices, kind="stable")
+    counts = np.bincount(a.indices, minlength=a.shape[1])
+    start = np.cumsum(counts) - counts
+    lens = counts[a.indices[by_col]]
+    first = by_col[np.repeat(np.arange(by_col.size), lens)]
+    offset = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+    second = by_col[np.repeat(start[a.indices[by_col]], lens) + offset]
+    n = a.shape[0]
+    keys, slot = np.unique(a.rows[first] * n + a.rows[second], return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+
+    def total(values):
+        return np.bincount(slot, weights=values, minlength=keys.size)
+
+    terms = (total(a.data[first] * a.data[second]),
+             total(a.data[first] * b.data[second] + b.data[first] * a.data[second]),
+             total(b.data[first] * b.data[second]))
+    return _Csr(terms[0], keys % n, indptr, (n, n)), terms
 
 
 @dataclass(eq=False)
@@ -94,7 +143,7 @@ def _stacked_residual(ops, flavor, u, kappa, d_u, sigma_s, sigma_d,
     if flavor == "fem":
         parts.append(math.sqrt(sigma_d) * (u - d_u))
     else:
-        parts.append(math.sqrt(sigma_d) * (ops.k_fr(kappa) @ (u - d_u)))
+        parts.append(math.sqrt(sigma_d) * ops.k_fr(kappa).matvec(u - d_u))
     if gamma_s > 0.0:
         parts.append(math.sqrt(gamma_s) * (u - u0))
     if gamma_p > 0.0:
@@ -110,18 +159,18 @@ def aao_foc_residuals(ops: AaoOperators, flavor: str, u, kappa, d_u,
     A(u)^T Lambda = 0 and the state equation K_fr^T Lambda + (data-term
     gradient) = 0 must hold at a minimizer; both are returned scaled.
     """
-    lam = sigma_s * ops.physics_residual(u, kappa)
     A = ops.a_cols(u)
+    lam = sigma_s * (A @ kappa - ops.p_vec)
     r_kappa = np.linalg.norm(A.T @ lam)
     s_kappa = 1.0 + np.linalg.norm(A.T @ (sigma_s * ops.p_vec))
     K = ops.k_fr(kappa)
     if flavor == "fem":
         grad_data = sigma_d * (u - d_u)
-        s_u = 1.0 + np.linalg.norm(K.T @ (sigma_s * ops.p_vec)) + sigma_d * np.linalg.norm(d_u)
+        s_u = 1.0 + np.linalg.norm(K.rmatvec(sigma_s * ops.p_vec)) + sigma_d * np.linalg.norm(d_u)
     else:
-        grad_data = sigma_d * (K.T @ (K @ (u - d_u)))
-        s_u = 1.0 + np.linalg.norm(K.T @ (sigma_s * ops.p_vec))
-    r_u = np.linalg.norm(K.T @ lam + grad_data)
+        grad_data = sigma_d * K.rmatvec(K.matvec(u - d_u))
+        s_u = 1.0 + np.linalg.norm(K.rmatvec(sigma_s * ops.p_vec))
+    r_u = np.linalg.norm(K.rmatvec(lam) + grad_data)
     return {
         "kappa_equation": float(r_kappa / s_kappa),
         "state_equation": float(r_u / s_u),
@@ -132,6 +181,7 @@ def aao_foc_residuals(ops: AaoOperators, flavor: str, u, kappa, d_u,
 def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
                  gamma_s, gamma_p, method, max_iter, gtol):
     u0, kappa0 = u_init.copy(), kappa_init.copy()
+    A_d = ops.a_cols(d_u) if flavor == "vfm" else None  # A(d_u), constant
 
     def phi(u, kappa):
         r = _stacked_residual(ops, flavor, u, kappa, d_u, sigma_s, sigma_d,
@@ -147,10 +197,11 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
 
     def kappa_subproblem(u):
         """Exact least-squares update of kappa at fixed state."""
-        rows = [math.sqrt(sigma_s) * ops.a_cols(u)]
+        A = ops.a_cols(u)
+        rows = [math.sqrt(sigma_s) * A]
         tgt = [math.sqrt(sigma_s) * ops.p_vec]
         if flavor == "vfm":
-            rows.append(math.sqrt(sigma_d) * (ops.a_cols(u) - ops.a_cols(d_u)))
+            rows.append(math.sqrt(sigma_d) * (A - A_d))
             tgt.append(np.zeros(ops.n_rows))
         if gamma_p > 0.0:
             rows.append(math.sqrt(gamma_p) * np.eye(2))
@@ -159,8 +210,8 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
 
     def r0_of(kappa):
         K = ops.k_fr(kappa)
-        b = ops.p_vec - (kappa[0] * ops.Kbar_fr[0] + kappa[1] * ops.Kbar_fr[1]) @ ops.ubar
-        return K, b - K @ d_u  # the physics residual carried by the data state
+        b = ops.p_vec - _combine(kappa, *ops.Kbar_fr).matvec(ops.ubar)
+        return K, b - K.matvec(d_u)  # the physics residual carried by the data state
 
     def state_subproblem(kappa):
         """Exact minimization over u at fixed kappa.
@@ -178,8 +229,8 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
         s = sigma_s + (sigma_d if flavor == "vfm" else 0.0)
         delta = gamma_s + (sigma_d if flavor == "fem" else 0.0)
         v = gamma_s / delta * (u_init - d_u) if gamma_s > 0.0 else np.zeros(ops.n_u)
-        M = (s * (K @ K.T) + delta * sp.identity(ops.n_rows)).tocsc()
-        return d_u + K.T @ ops.solve(M, sigma_s * r0 - s * (K @ v)) + v
+        y = ops.solve(ops.kkt(kappa, s, delta), sigma_s * r0 - s * K.matvec(v))
+        return d_u + K.rmatvec(y) + v
 
     if method == "gauss_seidel":
         for it in range(1, max_iter + 1):
@@ -206,7 +257,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
     # iteration has no such valley and its fixed point satisfies the same
     # joint first-order conditions (the state equation holds exactly by
     # construction of the inner solve).
-    k2_scale = float((ops.k_fr(kappa0).power(2)).sum()) / ops.n_rows
+    k2_scale = float((ops.k_fr(kappa0).data ** 2).sum()) / ops.n_rows
 
     if flavor == "vfm" and gamma_s == 0.0 and gamma_p == 0.0:
         # With v = K_fr w the inner minimum is v = sigma_s r0 / (sigma_s +
@@ -215,11 +266,10 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
         # solve of A(d_u) kappa = p_vec; the kernel part of the state stays
         # at the data.
         it = 1
-        kappa = np.linalg.lstsq(ops.a_cols(d_u), ops.p_vec, rcond=None)[0]
+        kappa = np.linalg.lstsq(A_d, ops.p_vec, rcond=None)[0]
         K, r0 = r0_of(kappa)
         shrink = sigma_s / (sigma_s + sigma_d)
-        lam_mn = ops.solve((K @ K.T).tocsc(), shrink * r0)
-        u = d_u + K.T @ lam_mn
+        u = d_u + K.rmatvec(ops.solve(ops.kkt(kappa), shrink * r0))
         obj, r = phi(u, kappa)
         history.append(obj)
         converged = True
@@ -232,7 +282,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
         # minimum-norm correction w(kappa) = K^T (K K^T)^{-1} r0(kappa).
         def min_norm_w(kappa):
             K, r0 = r0_of(kappa)
-            return K.T @ ops.solve((K @ K.T).tocsc(), r0)
+            return K.rmatvec(ops.solve(ops.kkt(kappa), r0))
 
         w = min_norm_w(kappa)
         lam_damp = 1e-3
@@ -279,14 +329,14 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
             rphys = A @ kappa - ops.p_vec
             g = sigma_s * (A.T @ rphys)
             if flavor == "vfm":
-                dA = A - ops.a_cols(d_u)
-                g = g + sigma_d * (dA.T @ (K @ (u_star - d_u)))
+                dA = A - A_d
+                g = g + sigma_d * (dA.T @ K.matvec(u_star - d_u))
             if gamma_p > 0.0:
                 g = g + gamma_p * (kappa - kappa_init)
-            return u_star, g
+            return u_star, g, A
 
-        u, g = grad(kappa)
-        g_scale = 1.0 + np.linalg.norm(ops.a_cols(u).T @ (sigma_s * ops.p_vec))
+        u, g, A = grad(kappa)
+        g_scale = 1.0 + np.linalg.norm(A.T @ (sigma_s * ops.p_vec))
         for it in range(1, max_iter + 1):
             if np.linalg.norm(g) <= 1e-6 * gtol * g_scale:
                 converged = True
@@ -308,7 +358,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
             accepted = False
             for _ in range(25):
                 kappa_new = kappa + t * step
-                u_new, g_new = grad(kappa_new)
+                u_new, g_new, _ = grad(kappa_new)
                 if np.all(np.isfinite(g_new)) and np.linalg.norm(g_new) < np.linalg.norm(g):
                     accepted = True
                     break
@@ -417,7 +467,8 @@ def landweber_aao(mesh, part, data, sigma_s=1.0, sigma_d=1e-5, beta0=None,
 
     No linear system is factorized inside the iteration: the gradient and the
     step-size estimate (power iteration for ||J||^2, keeping mu ||J||^2 < 2)
-    are assembled from sparse matrix-vector products alone.  The objective is
+    are assembled from sparse matrix-vector products alone.  A(u) is formed
+    once per state, and A(d_u) once per run.  The objective is
     kept monotone by step halving.
     """
     d_u, p_check = full_field_vectors(mesh, part, data)
@@ -428,40 +479,42 @@ def landweber_aao(mesh, part, data, sigma_s=1.0, sigma_d=1e-5, beta0=None,
         u, kappa = np.asarray(beta0[0], float).copy(), np.asarray(beta0[1], float).copy()
     su = max(np.abs(d_u).max(), 1e-12)
     sk = np.maximum(np.abs(kappa), 1.0)
+    A_d = ops.a_cols(d_u) if flavor == "vfm" else None  # A(d_u), constant
 
     def gradient(u, kappa):
-        r1 = ops.physics_residual(u, kappa)
-        K = ops.k_fr(kappa)
+        """Objective and gradient at (u, kappa), and A(u)."""
         A = ops.a_cols(u)
+        r1 = A @ kappa - ops.p_vec
+        K = ops.k_fr(kappa)
         if flavor == "fem":
-            gu = sigma_s * (K.T @ r1) + sigma_d * (u - d_u)
+            gu = sigma_s * K.rmatvec(r1) + sigma_d * (u - d_u)
             obj = 0.5 * sigma_s * float(r1 @ r1) + 0.5 * sigma_d * float((u - d_u) @ (u - d_u))
         else:
-            r2 = K @ (u - d_u)
-            gu = sigma_s * (K.T @ r1) + sigma_d * (K.T @ r2)
+            r2 = K.matvec(u - d_u)
+            gu = sigma_s * K.rmatvec(r1) + sigma_d * K.rmatvec(r2)
             obj = 0.5 * sigma_s * float(r1 @ r1) + 0.5 * sigma_d * float(r2 @ r2)
         gk = sigma_s * (A.T @ r1)
         if flavor == "vfm":
-            dA = A - ops.a_cols(d_u)
-            gk = gk + sigma_d * (dA.T @ (K @ (u - d_u)))
-        return obj, gu, gk
+            dA = A - A_d
+            gk = gk + sigma_d * (dA.T @ K.matvec(u - d_u))
+        return obj, gu, gk, A
 
     def gn_matvec(v, K, A, dA):
         # v -> S J^T J S v using only products with the residual blocks.
         vu = su * v[:-2]
         vk = sk * v[-2:]
-        w1 = math.sqrt(sigma_s) * (K @ vu + A @ vk)
-        out_u = math.sqrt(sigma_s) * (K.T @ w1)
+        w1 = math.sqrt(sigma_s) * (K.matvec(vu) + A @ vk)
+        out_u = math.sqrt(sigma_s) * K.rmatvec(w1)
         out_k = math.sqrt(sigma_s) * (A.T @ w1)
         if flavor == "fem":
             out_u = out_u + sigma_d * vu
         else:
-            w2 = math.sqrt(sigma_d) * (K @ vu + dA @ vk)
-            out_u = out_u + math.sqrt(sigma_d) * (K.T @ w2)
+            w2 = math.sqrt(sigma_d) * (K.matvec(vu) + dA @ vk)
+            out_u = out_u + math.sqrt(sigma_d) * K.rmatvec(w2)
             out_k = out_k + math.sqrt(sigma_d) * (dA.T @ w2)
         return np.concatenate([su * out_u, sk * out_k])
 
-    obj, gu, gk = gradient(u, kappa)
+    obj, gu, gk, A = gradient(u, kappa)
     objectives = [obj]
     converged = False
     mu = None
@@ -469,8 +522,7 @@ def landweber_aao(mesh, part, data, sigma_s=1.0, sigma_d=1e-5, beta0=None,
     for it in range(1, max_iter + 1):
         if mu is None or it % 500 == 0:
             K = ops.k_fr(kappa)
-            A = ops.a_cols(u)
-            dA = (A - ops.a_cols(d_u)) if flavor == "vfm" else None
+            dA = (A - A_d) if flavor == "vfm" else None
             v = rng.normal(size=ops.n_u + 2)
             v /= np.linalg.norm(v)
             L = 0.0
@@ -494,7 +546,7 @@ def landweber_aao(mesh, part, data, sigma_s=1.0, sigma_d=1e-5, beta0=None,
         for _ in range(60):
             u_new = u - mu_try * su * su * gu
             kappa_new = kappa - mu_try * sk * sk * gk
-            obj_new, gu_new, gk_new = gradient(u_new, kappa_new)
+            obj_new, gu_new, gk_new, A_new = gradient(u_new, kappa_new)
             if np.isfinite(obj_new) and obj_new <= obj:
                 accepted = True
                 break
@@ -502,7 +554,7 @@ def landweber_aao(mesh, part, data, sigma_s=1.0, sigma_d=1e-5, beta0=None,
         if not accepted:
             converged = True
             break
-        u, kappa, obj, gu, gk = u_new, kappa_new, obj_new, gu_new, gk_new
+        u, kappa, obj, gu, gk, A = u_new, kappa_new, obj_new, gu_new, gk_new, A_new
         objectives.append(obj)
     E, nu = E_nu_from_c_coords(*kappa)
     return AaoLandweberResult(u=u, kappa_c=kappa, E=E, nu=nu,

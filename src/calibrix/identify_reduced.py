@@ -323,7 +323,8 @@ def reduced2_multiplier_residual(decomp, data, kappa_c, pbar, ubar) -> float:
 
     For the linear-elastic problem with displacements observed on all free
     dofs: solves the state, then the multiplier system
-    K^T Lambda_u = -W^T W (u - d_u) with the same LU factors, and returns
+    K^T Lambda_u = -W^T W (u - d_u) with the same factor (K is symmetric),
+    and returns
     the scaled norm of A_S^T Lambda_u, which must vanish at the
     least-squares solution.
     ``kappa_c`` is in (C11, C12) coordinates.
@@ -331,9 +332,8 @@ def reduced2_multiplier_residual(decomp, data, kappa_c, pbar, ubar) -> float:
     from .mesh_fem import assemble_parameter_matrices  # loaded with decomp's module
 
     d_u, W_u = data
-    u, lu = decomp.solve(kappa_c, pbar, ubar)
-    rhs = -(W_u**2) * (u - d_u)
-    lam_u = lu.solve(rhs, trans="T")
+    u, factor = decomp.solve(kappa_c, pbar, ubar)
+    lam_u = factor.solve(-(W_u**2) * (u - d_u))
     a_s, _ = assemble_parameter_matrices(decomp.mesh, decomp.part, u, ubar)
     resid = a_s.T @ lam_u
     scale = 1.0 + np.linalg.norm(a_s.T @ ((W_u**2) * d_u))

@@ -5,8 +5,10 @@ stiffness blocks (free/prescribed degrees of freedom), direct linear solves
 with reaction-force recovery, and the matrices that express the discrete
 equilibrium as a linear map in the elasticity coefficients (C11, C12).
 
-Degrees of freedom are numbered ``2 * node + component``.  scipy is imported
-only where a sparse matrix is built or factored; the rest runs on numpy alone.
+Degrees of freedom are numbered ``2 * node + component``.  Everything runs on
+numpy alone: the sparse blocks are the small ``_Csr`` class below, and every
+matrix calibrix factors is symmetric positive definite, so ``_factor`` is a
+block-band Cholesky in an elimination order computed from the mesh.
 """
 
 from __future__ import annotations
@@ -14,15 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import read_text_lines
 from .errors import ConfigError, DataCoverageError, GeometryError, SolverError
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # Reference-square node coordinates (counter-clockwise) and 2x2 Gauss points.
 _XI_N = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -128,6 +126,91 @@ class Mesh:
         """Element stiffness matrices (n_el, 8, 8), one stack per ``_C_BASIS``
         matrix, computed on first use."""
         return _element_stiffness(self, *_C_BASIS)
+
+    @cached_property
+    def _pattern(self) -> tuple:
+        """The global stiffness pattern, computed on first use.
+
+        Returns (indices, indptr, positions, node_ptr, node_adj): the sorted
+        CSR columns and row pointers of every dof pair of nodes that share an
+        element; the data position of each element matrix entry, (n_el, 8, 8);
+        and the node graph in CSR form, each node's row holding itself.
+        """
+        n, e = self.n_nodes, self.elements
+        keys = (np.repeat(e, 4, axis=1) * n + np.tile(e, (1, 4))).ravel()
+        pairs, pair_of = np.unique(keys, return_inverse=True)
+        node_adj = pairs % n
+        node_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs // n, minlength=n), out=node_ptr[1:])
+        deg = np.diff(node_ptr)
+        # Dof row 2a + c holds the pairs of node a in order, two columns each,
+        # so entry (2a + c, 2b + d) of pair k sits at 2 ptr[a] + 2 k + 2 c deg[a] + d.
+        a = np.repeat(np.arange(n), deg)
+        k = np.arange(pairs.size)
+        comp = np.arange(2)
+        pos = (2 * (node_ptr[a] + k))[:, None, None] + comp[:, None] * 2 * deg[a][:, None, None] + comp
+        indices = np.empty(4 * pairs.size, dtype=np.int64)
+        indices[pos] = 2 * node_adj[:, None, None] + comp
+        indptr = np.empty(2 * n + 1, dtype=np.int64)
+        indptr[0::2] = 4 * node_ptr
+        indptr[1::2] = 4 * node_ptr[:-1] + 2 * deg
+        pair_of = pair_of.reshape(-1, 4, 1, 4, 1)
+        ea = e[:, :, None, None, None]
+        positions = (2 * (node_ptr[ea] + pair_of) + comp[:, None, None] * 2 * deg[ea]
+                     + comp).reshape(-1, 8, 8)
+        return indices, indptr, positions, node_ptr, node_adj
+
+    @cached_property
+    def _node_order(self) -> np.ndarray:
+        """Node elimination order: the mesh's own node order or a reverse
+        Cuthill-McKee order, whichever has the smaller semi-bandwidth (the
+        mesh's own where the node graph is not connected).
+
+        The Cuthill-McKee sweep starts from the far level set of a breadth-first
+        search from a node of least degree, not from one node: on a structured
+        grid the levels are then grid lines, not L-shaped fronts (Cuthill &
+        McKee 1969; George & Liu, Computer Solution of Large Sparse Positive
+        Definite Systems, 1981, 4.3).
+        """
+        *_, ptr, adj = self._pattern
+        deg = np.diff(ptr)
+        far = _level_sets(ptr, adj, deg, np.array([np.argmin(deg)]))[-1]
+        rcm = np.concatenate(_level_sets(ptr, adj, deg, far))[::-1]
+        natural = np.arange(self.n_nodes)
+        if rcm.size < self.n_nodes:  # the node graph is not connected
+            return natural
+        return min((natural, rcm), key=lambda order: _node_bandwidth(self.elements, order))
+
+
+def _level_sets(ptr, adj, deg, roots) -> list:
+    """Breadth-first level sets of the graph (ptr, adj) from the node array
+    roots.  Each level lists its nodes by the position of their first
+    neighbour in the level before, then by degree, as Cuthill-McKee does."""
+    rank = np.full(len(deg), -1, dtype=np.int64)
+    rank[roots] = np.arange(roots.size)
+    levels = [roots]
+    while True:
+        front = levels[-1]
+        lens = ptr[front + 1] - ptr[front]
+        first = np.repeat(ptr[front] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        nbr, parent = adj[first], np.repeat(front, lens)
+        new = rank[nbr] < 0
+        nbr, parent = nbr[new], parent[new]
+        if nbr.size == 0:
+            return levels
+        nbr = nbr[np.lexsort((nbr, deg[nbr], rank[parent]))]
+        _, at = np.unique(nbr, return_index=True)
+        level = nbr[np.sort(at)]
+        rank[level] = rank[front].max() + 1 + np.arange(level.size)
+        levels.append(level)
+
+
+def _node_bandwidth(elements, order) -> int:
+    """Largest distance in ``order`` between two nodes of one element."""
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    ranks = rank[elements]
+    return int((ranks.max(axis=1) - ranks.min(axis=1)).max(initial=0))
 
 
 def _jacobian_determinants(nodes, elements) -> np.ndarray:
@@ -266,17 +349,70 @@ def _element_gauss_data(mesh: Mesh):
     return B, w
 
 
-@dataclass(frozen=True, eq=False)
-class PartitionedStiffness:
-    """Stiffness blocks of the free/prescribed partition (all sparse, N/mm).
+class _Csr:
+    """Compressed sparse rows: row i holds data[indptr[i]:indptr[i+1]] at the
+    ascending columns indices[indptr[i]:indptr[i+1]].
 
-    K (n_u x n_u), Kbar (n_u x n_p), Kbarbar (n_p x n_p); the full matrix
-    [[K, Kbar], [Kbar^T, Kbarbar]] is symmetric.
+    Products sum each row's terms in column order with ``np.bincount``, in
+    the order scipy's CSR kernels use, so they give scipy's bits.
     """
 
-    K: sp.csr_matrix
-    Kbar: sp.csr_matrix
-    Kbarbar: sp.csr_matrix
+    def __init__(self, data, indices, indptr, shape, rows=None):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+        # The row of each stored entry.
+        self.rows = np.repeat(np.arange(shape[0]), np.diff(indptr)) if rows is None else rows
+
+    def like(self, data) -> "_Csr":
+        """The same pattern holding other data."""
+        return _Csr(data, self.indices, self.indptr, self.shape, self.rows)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.data * x[self.indices],
+                           minlength=self.shape[0])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """The transpose product, M^T y."""
+        return np.bincount(self.indices, weights=self.data * y[self.rows],
+                           minlength=self.shape[1])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.indices] = self.data
+        return out
+
+    def select(self, rows: np.ndarray, cols: np.ndarray) -> "_Csr":
+        """The submatrix of the given rows and of the columns marked in the
+        boolean mask cols, both in their present order."""
+        counts = np.diff(self.indptr)[rows]
+        take = np.repeat(self.indptr[rows] - np.cumsum(counts) + counts, counts)
+        take += np.arange(take.size)
+        row_of = np.repeat(np.arange(rows.size), counts)
+        keep = cols[self.indices[take]]
+        take, row_of = take[keep], row_of[keep]
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of, minlength=rows.size), out=indptr[1:])
+        return _Csr(self.data[take], (np.cumsum(cols) - 1)[self.indices[take]], indptr,
+                    (rows.size, int(cols.sum())), row_of)
+
+
+def _combine(kappa, a: _Csr, b: _Csr) -> _Csr:
+    """kappa_0 a + kappa_1 b for two matrices on one pattern."""
+    return a.like(kappa[0] * a.data + kappa[1] * b.data)
+
+
+@dataclass(frozen=True, eq=False)
+class PartitionedStiffness:
+    """Stiffness blocks of the free/prescribed partition (all ``_Csr``, N/mm).
+
+    K (n_u x n_u), Kbar (n_u x n_p), Kbarbar (n_p x n_p); the full matrix
+    [[K, Kbar], [Kbar^T, Kbarbar]] is symmetric.  order is the elimination
+    order of K's rows, from ``_free_order``.
+    """
+
+    K: _Csr
+    Kbar: _Csr
+    Kbarbar: _Csr
+    order: np.ndarray
 
 
 def _element_stiffness(mesh: Mesh, *Cs: np.ndarray) -> tuple:
@@ -285,75 +421,187 @@ def _element_stiffness(mesh: Mesh, *Cs: np.ndarray) -> tuple:
     return tuple(np.einsum("egai,ab,egbj,eg->eij", B, C, B, w, optimize=True) for C in Cs)
 
 
-def _assemble_global(mesh: Mesh, k_all: np.ndarray) -> sp.csr_matrix:
-    """Sum the element matrices k_all (n_el, 8, 8) into the global stiffness."""
-    import scipy.sparse as sp
-
-    dofs = mesh._element_dofs
-    rows = np.repeat(dofs, 8, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8)).ravel()
-    S = sp.coo_matrix((k_all.ravel(), (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs))
-    return S.tocsr()
+def _assemble_global(mesh: Mesh, k_all: np.ndarray) -> _Csr:
+    """Sum the element matrices k_all (n_el, 8, 8) into the global stiffness,
+    each entry's terms in element order."""
+    indices, indptr, positions, *_ = mesh._pattern
+    data = np.bincount(positions.ravel(), weights=k_all.ravel(), minlength=indices.size)
+    return _Csr(data, indices, indptr, (mesh.n_dofs, mesh.n_dofs))
 
 
-def _partition(S: sp.csr_matrix, part: DofPartition) -> PartitionedStiffness:
-    Sf = S[part.free]
-    Sp = S[part.prescribed]
+def _free_order(mesh: Mesh, part: DofPartition) -> np.ndarray:
+    """Elimination order of the free dofs (positions in ``part.free``): the
+    mesh's node order, ``Mesh._node_order``, with a node's dofs adjacent."""
+    rank = np.empty(mesh.n_nodes, dtype=np.int64)
+    rank[mesh._node_order] = np.arange(mesh.n_nodes)
+    return np.argsort(2 * rank[part.free // 2] + part.free % 2, kind="stable")
+
+
+def _partition(S: _Csr, part: DofPartition, order: np.ndarray) -> PartitionedStiffness:
+    free = part._is_free
     return PartitionedStiffness(
-        K=Sf[:, part.free].tocsr(),
-        Kbar=Sf[:, part.prescribed].tocsr(),
-        Kbarbar=Sp[:, part.prescribed].tocsr(),
+        K=S.select(part.free, free),
+        Kbar=S.select(part.free, ~free),
+        Kbarbar=S.select(part.prescribed, ~free),
+        order=order,
     )
 
 
 def assemble_stiffness(mesh: Mesh, part: DofPartition, C: np.ndarray) -> PartitionedStiffness:
     """Assemble and partition the global stiffness matrix."""
-    return _partition(_assemble_global(mesh, _element_stiffness(mesh, C)[0]), part)
+    S = _assemble_global(mesh, _element_stiffness(mesh, C)[0])
+    return _partition(S, part, _free_order(mesh, part))
 
 
-def _condition_estimate(K: sp.spmatrix, lu=None) -> float:
-    """1-norm condition estimate of K from its factors lu; inf if K did not factor.
+def _condition_estimate(K: _Csr, factor=None) -> float:
+    """1-norm condition estimate of the symmetric K from its factor; inf if
+    K did not factor.
 
-    ``onenormest`` draws its start vectors from numpy's global RNG and takes
-    no generator, so the estimate runs under a fixed seed and the caller's RNG
-    state is restored afterwards: the same K gives the same estimate, and the
-    global RNG does not advance.
+    ||K^-1||_1 comes from Hager's estimator, in the form of Higham, Accuracy
+    and Stability of Numerical Algorithms (2nd ed., 2002), Algorithm 15.4 and
+    its alternative estimate; K^-T = K^-1, so each product is a solve.  It
+    draws no random numbers, so the same K gives the same estimate.
     """
-    if lu is None:
+    if factor is None:
         return float("inf")
-    import scipy.sparse.linalg as spla
+    n = K.shape[0]
+    with np.errstate(all="ignore"):
+        x = np.full(n, 1.0 / n)
+        for _ in range(5):
+            y = factor.solve(x)
+            z = factor.solve(np.where(y >= 0.0, 1.0, -1.0))
+            j = int(np.argmax(np.abs(z)))
+            if abs(z[j]) <= z @ x:
+                break
+            x = np.zeros(n)
+            x[j] = 1.0
+        alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / max(n - 1, 1))
+        inv_norm = max(np.abs(y).sum(), 2.0 * np.abs(factor.solve(alt)).sum() / (3.0 * n))
+        norm = np.bincount(K.indices, weights=np.abs(K.data), minlength=n).max(initial=0.0)
+    return float(norm * inv_norm)
 
-    rng_state = np.random.get_state()
+
+def _root_inverse(D: np.ndarray, norm: float) -> np.ndarray:
+    """F^-1 for a factor F F^T = D of a symmetric block (its lower half read);
+    norm is the 1-norm of the whole matrix.
+
+    The Cholesky factor where it exists.  A block that is positive
+    semi-definite to rounding, its eigenvalues lam above -sqrt(eps) norm,
+    gets F = Q diag(sqrt(max(|lam|, eps norm))), as a singular K got tiny
+    pivots under LU: its factor exists, and the solve's residual check
+    rejects what it gives.  Raises LinAlgError otherwise.
+    """
     try:
-        np.random.seed(0)
-        op = spla.LinearOperator(K.shape, matvec=lu.solve,
-                                 rmatvec=lambda x: lu.solve(x, trans="T"))
-        return float(spla.onenormest(K) * spla.onenormest(op))
-    except Exception:
-        return float("nan")
-    finally:
-        np.random.set_state(rng_state)
+        return np.linalg.inv(np.linalg.cholesky(D))
+    except np.linalg.LinAlgError:
+        eps = np.finfo(float).eps
+        lam, Q = np.linalg.eigh(D)
+        if not (norm > 0.0 and lam[0] >= -math.sqrt(eps) * norm):
+            raise
+        return (Q / np.sqrt(np.maximum(np.abs(lam), eps * norm))).T
 
 
-def _factor(K: sp.csc_matrix):
-    """SuperLU factors of K; SolverError with a condition estimate if singular.
+class _BandFactor:
+    """The factor of ``_factor``: the lower band of L in p x p blocks, each
+    block column k holding F_k^-1, the inverse of its diagonal block, and the
+    q blocks below it; then, for the trailing border rows, Z = L^-1 C and
+    the inverse factor of their Schur complement."""
+
+    def __init__(self, blocks: np.ndarray, order: np.ndarray, n_band: int):
+        self.blocks, self.order, self.n_band = blocks, order, n_band
+        self.q, self.p = blocks.shape[1] - 1, blocks.shape[2]
+        self.Z = self.S_inv = None
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        p, q, nb, order = self.p, self.q, self.n_band, self.order
+        y = self._forward(rhs[order[:nb]])
+        if self.Z is not None:
+            w = self.S_inv.T @ (self.S_inv @ (rhs[order[nb:]] - self.Z.T @ y))
+            y -= self.Z @ w
+        blocks = self.blocks
+        for k in range(len(blocks) - q - 1, -1, -1):
+            t = y[k * p:(k + 1) * p]
+            if q:
+                t = t - blocks[k, 1:].reshape(q * p, p).T @ y[(k + 1) * p:(k + 1 + q) * p]
+            y[k * p:(k + 1) * p] = blocks[k, 0].T @ t
+        x = np.empty(len(order))
+        x[order[:nb]] = y[:nb]
+        if self.Z is not None:
+            x[order[nb:]] = w
+        return x
+
+    def _forward(self, b: np.ndarray) -> np.ndarray:
+        """L^-1 b for the band rows, padded to whole blocks."""
+        p, q, blocks = self.p, self.q, self.blocks
+        y = np.zeros((blocks.shape[0] * p, *b.shape[1:]))
+        y[:b.shape[0]] = b
+        for k in range(len(blocks) - q):
+            yk = y[k * p:(k + 1) * p] = blocks[k, 0] @ y[k * p:(k + 1) * p]
+            if q:
+                y[(k + 1) * p:(k + 1 + q) * p] -= blocks[k, 1:].reshape(q * p, p) @ yk
+        return y
+
+
+def _factor(M: _Csr, order: np.ndarray, border: int = 0) -> _BandFactor:
+    """Cholesky factor of the symmetric positive definite M, rows eliminated
+    in ``order``; SolverError if M is not positive definite.
 
     Every matrix calibrix factors is symmetric positive definite: K(kappa),
-    and K_fr K_fr^T plus a non-negative multiple of I in AAO.  So SuperLU runs
-    in symmetric mode, with a minimum-degree order of K + K^T and diagonal
-    pivots; ``_factor_solve``'s residual check catches the inaccurate factors
-    this can give for an indefinite K.
+    and K_fr K_fr^T plus a non-negative multiple of I in AAO.  The band rows,
+    all but the last ``border`` of ``order``, are factored right-looking in
+    p x p blocks, with p = ceil(b / ceil(b / 48)) for the semi-bandwidth b:
+    each block column costs one Cholesky of its diagonal block, one product
+    for the q = ceil(b / p) blocks below it and q trailing updates.  Only
+    the lower band is stored.  Border rows (AAO's dense resultant row) are
+    eliminated last through their Schur complement.
     """
-    import scipy.sparse.linalg as spla
-
+    n = M.shape[0]
+    nb = n - border
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    r, c = rank[M.rows], rank[M.indices]
+    lower = c <= r
+    r, c, v = r[lower], c[lower], M.data[lower]
+    band = r < nb
+    b = max(int((r[band] - c[band]).max(initial=0)), 1)
+    q = -(-b // 48)
+    p = -(-b // q)
+    n_blocks = -(-nb // p)
+    norm = np.bincount(M.indices, weights=np.abs(M.data), minlength=n).max(initial=0.0)
     try:
-        return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
-    except RuntimeError as exc:
+        if not np.all(np.isfinite(M.data)):
+            raise np.linalg.LinAlgError("not finite")
+        # Block column k holds rows k p .. (k + q + 1) p; q zero block columns
+        # pad the end, with identity diagonals, so no update runs out of range.
+        blocks = np.zeros((n_blocks + q, q + 1, p, p))
+        rb, cb = r[band], c[band]
+        k = cb // p
+        blocks.reshape(-1)[((k * (q + 1) + rb // p - k) * p + rb % p) * p + cb % p] = v[band]
+        pad = np.arange(nb, (n_blocks + q) * p)
+        blocks[pad // p, 0, pad % p, pad % p] = 1.0
+        for k in range(n_blocks):
+            blocks[k, 0] = inv = _root_inverse(blocks[k, 0], norm)
+            if q:
+                P = blocks[k, 1:].reshape(q * p, p) @ inv.T
+                blocks[k, 1:] = P.reshape(q, p, p)
+                for j in range(1, q + 1):
+                    blocks[k + j, :q - j + 1].reshape(-1, p)[...] -= (
+                        P[(j - 1) * p:] @ P[(j - 1) * p:j * p].T)
+        factor = _BandFactor(blocks, order, nb)
+        if border:
+            C = np.zeros((nb, border))
+            D = np.zeros((border, border))
+            edge = ~band
+            C[c[edge & (c < nb)], r[edge & (c < nb)] - nb] = v[edge & (c < nb)]
+            D[r[edge & (c >= nb)] - nb, c[edge & (c >= nb)] - nb] = v[edge & (c >= nb)]
+            factor.Z = factor._forward(C)
+            factor.S_inv = _root_inverse(D - factor.Z.T @ factor.Z, norm)
+    except np.linalg.LinAlgError:
         raise SolverError(
-            f"sparse factorization failed ({exc}); "
-            f"condition estimate {_condition_estimate(K):.3e}"
+            "sparse factorization failed (matrix is not positive definite); "
+            f"condition estimate {_condition_estimate(M):.3e}"
         ) from None
+    return factor
 
 
 def _inaccurate(x: np.ndarray, r: np.ndarray, rhs: np.ndarray) -> float | None:
@@ -368,21 +616,21 @@ def _inaccurate(x: np.ndarray, r: np.ndarray, rhs: np.ndarray) -> float | None:
     return None
 
 
-def _factor_solve(K: sp.csc_matrix, rhs: np.ndarray):
-    """Factor K and solve K x = rhs; returns (x, lu).
+def _factor_solve(K: _Csr, order: np.ndarray, rhs: np.ndarray):
+    """Factor K in ``order`` and solve K x = rhs; returns (x, factor).
 
     Raises SolverError with a condition estimate when the factorization fails
     or the relative residual of x exceeds 1e-8.
     """
-    lu = _factor(K)
-    x = lu.solve(rhs)
-    resid = _inaccurate(x, K @ x - rhs, rhs)
+    factor = _factor(K, order)
+    x = factor.solve(rhs)
+    resid = _inaccurate(x, K.matvec(x) - rhs, rhs)
     if resid is not None:
         raise SolverError(
             f"linear solve inaccurate (relative residual {resid:.3e}); "
-            f"condition estimate {_condition_estimate(K, lu):.3e}"
+            f"condition estimate {_condition_estimate(K, factor):.3e}"
         )
-    return x, lu
+    return x, factor
 
 
 def solve_linear(
@@ -394,9 +642,10 @@ def solve_linear(
     (N).  Raises SolverError with a condition estimate when the factorization
     fails or the solution does not satisfy the system.
     """
-    rhs = np.asarray(pbar, dtype=float) - stiff.Kbar @ np.asarray(ubar, dtype=float)
-    u, _ = _factor_solve(stiff.K.tocsc(), rhs)
-    p = stiff.Kbar.T @ u + stiff.Kbarbar @ ubar
+    ubar = np.asarray(ubar, dtype=float)
+    rhs = np.asarray(pbar, dtype=float) - stiff.Kbar.matvec(ubar)
+    u, _ = _factor_solve(stiff.K, stiff.order, rhs)
+    p = stiff.Kbar.rmatvec(u) + stiff.Kbarbar.matvec(ubar)
     return u, p
 
 
@@ -506,10 +755,10 @@ class StiffnessDecomposition:
     """The stiffness blocks split by elasticity coefficient.
 
     K(kappa) = kappa_1 K_a + kappa_2 K_b (same for the other blocks), so the
-    blocks at any kappa cost only a sparse combination.  ``from_mesh``
-    assembles the two from the mesh's element matrices per basis, the ones
-    ``assemble_parameter_matrices`` multiplies.  ``solve`` factors
-    ``stiffness(kappa).K`` afresh on each call.
+    blocks at any kappa cost only a combination on their shared pattern.
+    ``from_mesh`` assembles the two from the mesh's element matrices per
+    basis, the ones ``assemble_parameter_matrices`` multiplies.  ``solve``
+    factors ``stiffness(kappa).K`` afresh on each call.
 
     ``spectrum`` caches, on first use, the eigenpairs of the pencil
     (K_b, K_a), which diagonalize K(kappa) for every kappa at once;
@@ -523,27 +772,32 @@ class StiffnessDecomposition:
 
     @classmethod
     def from_mesh(cls, mesh: Mesh, part: DofPartition) -> "StiffnessDecomposition":
-        blocks = tuple(_partition(_assemble_global(mesh, k), part) for k in mesh._basis_stiffness)
+        order = _free_order(mesh, part)
+        blocks = tuple(_partition(_assemble_global(mesh, k), part, order)
+                       for k in mesh._basis_stiffness)
         return cls(mesh=mesh, part=part, blocks=blocks)
 
     def stiffness(self, kappa) -> PartitionedStiffness:
-        """The three blocks at kappa, each formed by scipy's sparse arithmetic."""
+        """The three blocks at kappa, each kappa_0 a + kappa_1 b on the pattern
+        the two basis blocks share."""
         a, b = self.blocks
         return PartitionedStiffness(
-            K=(kappa[0] * a.K + kappa[1] * b.K).tocsr(),
-            Kbar=(kappa[0] * a.Kbar + kappa[1] * b.Kbar).tocsr(),
-            Kbarbar=(kappa[0] * a.Kbarbar + kappa[1] * b.Kbarbar).tocsr(),
+            K=_combine(kappa, a.K, b.K),
+            Kbar=_combine(kappa, a.Kbar, b.Kbar),
+            Kbarbar=_combine(kappa, a.Kbarbar, b.Kbarbar),
+            order=a.order,
         )
 
     def solve(self, kappa, pbar, ubar):
         """Free-dof displacements u of K(kappa) u = pbar - Kbar(kappa) ubar.
 
-        Returns (u, lu), where lu factors K(kappa).  Raises SolverError with a
-        condition estimate like ``solve_linear``.
+        Returns (u, factor), where factor factors K(kappa), which is
+        symmetric, so it solves the transposed system too.  Raises SolverError
+        with a condition estimate like ``solve_linear``.
         """
         stiff = self.stiffness(kappa)
-        rhs = np.asarray(pbar, dtype=float) - stiff.Kbar @ np.asarray(ubar, dtype=float)
-        return _factor_solve(stiff.K.tocsc(), rhs)
+        rhs = np.asarray(pbar, dtype=float) - stiff.Kbar.matvec(np.asarray(ubar, dtype=float))
+        return _factor_solve(stiff.K, stiff.order, rhs)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -581,7 +835,7 @@ class StiffnessDecomposition:
         None where ``solve`` would not accept u: u not finite, or its relative
         residual, with K(kappa) u formed as kappa_0 (K_a u) + kappa_1 (K_b u),
         above 1e-8.  It returns None for every kappa when there is no
-        spectrum.  The caller then solves by LU, which accepts or raises
+        spectrum.  The caller then solves by ``solve``, which accepts or raises
         SolverError as it always does.
         """
         if self.spectrum is None:
@@ -590,7 +844,7 @@ class StiffnessDecomposition:
         a, b = self.blocks
         pbar = np.asarray(pbar, dtype=float)
         ubar = np.asarray(ubar, dtype=float)
-        fa, fb = a.Kbar @ ubar, b.Kbar @ ubar
+        fa, fb = a.Kbar.matvec(ubar), b.Kbar.matvec(ubar)
         c, ca, cb = V.T @ pbar, V.T @ fa, V.T @ fb
 
         def solve(kappa):
@@ -600,7 +854,7 @@ class StiffnessDecomposition:
             with np.errstate(all="ignore"):
                 u = V @ ((c - k0 * ca - k1 * cb) / (k0 + k1 * lam))
                 rhs = pbar - (k0 * fa + k1 * fb)
-                r = k0 * (a.K @ u) + k1 * (b.K @ u) - rhs
+                r = k0 * a.K.matvec(u) + k1 * b.K.matvec(u) - rhs
                 return None if _inaccurate(u, r, rhs) is not None else u
 
         return solve

@@ -22,11 +22,13 @@ _Z_TABLE = {0.95: 1.96, 0.68: 1.0}
 
 
 def z_value(level: float) -> float:
+    """Two-sided standard normal quantile of a confidence level in (0, 1);
+    the rounded table values keep the reports of 0.95 and 0.68 as they were."""
     if level in _Z_TABLE:
         return _Z_TABLE[level]
-    from scipy.stats import norm
+    from statistics import NormalDist  # 6 ms to import, and the table covers the defaults
 
-    return float(norm.ppf(0.5 * (1.0 + level)))
+    return NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 
 @dataclass(eq=False)

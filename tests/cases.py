@@ -5,6 +5,7 @@ beside it, and synthetic observations generated on either)."""
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from calibrix.benchmarks import PlateCase
@@ -12,6 +13,7 @@ from calibrix.mesh_fem import (
     DofPartition,
     Mesh,
     StiffnessDecomposition,
+    _Csr,
     applied_forces,
     prescribed_values,
 )
@@ -95,10 +97,31 @@ def uniaxial_patch_mesh(
                           dirichlet=tuple(dirichlet), neumann=neumann)
 
 
-def general_lu(M):
+def scipy_csr(M: _Csr) -> sp.csr_matrix:
+    """A calibrix CSR matrix as scipy's, on the same arrays."""
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
+
+
+def calibrix_csr(S) -> _Csr:
+    """A scipy sparse matrix as calibrix's CSR class, to pass to library code."""
+    S = sp.csr_matrix(S)
+    S.sum_duplicates()
+    return _Csr(S.data, S.indices.astype(np.int64), S.indptr.astype(np.int64), S.shape)
+
+
+def general_lu(M, order=None, border=0):
     """SuperLU at its defaults: COLAMD column order and partial pivoting,
-    blind to symmetry.  The oracle for calibrix's symmetric-mode factors."""
-    return spla.splu(M)
+    blind to symmetry.  The oracle for calibrix's Cholesky factors; it takes
+    ``_factor``'s arguments and ignores the elimination order."""
+    return spla.splu(scipy_csr(M).tocsc())
+
+
+def symmetric_lu(M, order=None, border=0):
+    """SuperLU in symmetric mode, with a minimum-degree order of M + M^T and
+    diagonal pivots: calibrix's factorization before its band Cholesky, kept
+    as the oracle of that path."""
+    return spla.splu(scipy_csr(M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
 @dataclass(eq=False)

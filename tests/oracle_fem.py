@@ -52,7 +52,7 @@ def element_stiffness(mesh: Mesh, e: int, C: np.ndarray) -> np.ndarray:
 def full_stiffness(stiff) -> np.ndarray:
     """Dense [[K, Kbar], [Kbar^T, Kbarbar]] of a PartitionedStiffness."""
     top = np.hstack([stiff.K.toarray(), stiff.Kbar.toarray()])
-    bottom = np.hstack([stiff.Kbar.T.toarray(), stiff.Kbarbar.toarray()])
+    bottom = np.hstack([stiff.Kbar.toarray().T, stiff.Kbarbar.toarray()])
     return np.vstack([top, bottom])
 
 

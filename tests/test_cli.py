@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import calibrix
-from calibrix.cli import main
+from calibrix.cli import CALIBRATE_METHODS, UQ_METHODS, main
 from calibrix.errors import DivergenceError
 from calibrix.meshes import quarter_plate_mesh
 from calibrix.mesh_fem import write_mesh_file
@@ -196,6 +196,16 @@ class TestUq:
         assert main(["uq", "-c", cfg, "--method", "asymptotic"]) == 0
         report = (workdir / "uq_asym.txt").read_text()
         assert "delta" in report and "ci = [" in report
+
+    @pytest.mark.parametrize("level", ["1.5", "nan", "-0.2", "0", "1"])
+    def test_asymptotic_level_outside_unit_interval_exits_2(self, workdir, generated, capsys,
+                                                           level):
+        # 1.5 and nan wrote ci = [nan, nan], and -0.2 an inverted interval.
+        cfg = write_config(workdir, "uq_level.cfg", mesh_file=str(workdir / "plate.mesh"),
+                           data=str(workdir / "data.csv"), level=level,
+                           report_out=str(workdir / "uq_level.txt"))
+        assert main(["uq", "-c", cfg, "--method", "asymptotic"]) == 2
+        assert "level must lie in (0, 1)" in capsys.readouterr().err
 
     def test_two_step_report_columns(self, workdir):
         cfg = write_config(
@@ -455,31 +465,31 @@ def test_point_model_commands_load_no_sparse_stack(tmp_path):
     assert loaded == []
 
 
-@pytest.mark.parametrize("method, sparse", [("vfm", False), ("reduced", True),
-                                            ("bayes", True)])
-def test_calibrate_loads_scipy_only_to_factor(workdir, generated, tmp_path, method, sparse):
-    """The mesh files, the CSV reader and the VFM solve run on numpy alone.
-
-    ``reduced`` factors K, and shows that the check can see scipy at all.
-    ``uq --method bayes`` builds the sparse stiffness blocks but factors
-    nothing: it solves through the pencil spectrum.
-    """
-    write_config(tmp_path, "cal.cfg", mesh_file=workdir / "plate.mesh",
-                 data=workdir / "data.csv", report_out="cal.txt",
-                 sigma_e=2e-4, walkers=8, steps=10, chain_out="chain.csv")
+def test_no_command_loads_scipy(workdir, generated, tmp_path):
+    """Every command runs on numpy alone: the mesh files, ``generate``, every
+    calibration method and every uq method, asymptotic at a level outside
+    the z table too.  scipy is only the tests' oracle."""
+    write_config(tmp_path, "gen.cfg", mesh_file="q.mesh", fine_mesh_file="f.mesh",
+                 E_true=210000.0, nu_true=0.3, sigma=2e-4, seed=1, data_out="data.csv")
+    write_config(tmp_path, "cal.cfg", mesh_file="q.mesh", data="data.csv",
+                 report_out="cal.txt", sigma_e=2e-4, walkers=8, steps=10,
+                 chain_out="chain.csv", max_iter=50, n_outer=1, elastic_samples=20)
+    write_config(tmp_path, "level.cfg", mesh_file="q.mesh", data="data.csv",
+                 report_out="level.txt", level=0.9)
     script = ("from calibrix.meshes import quarter_plate_mesh\n"
               "from calibrix.mesh_fem import read_mesh_file, write_mesh_file\n"
               "write_mesh_file('q.mesh', quarter_plate_mesh(4, 3))\n"
+              "write_mesh_file('f.mesh', quarter_plate_mesh(8, 7))\n"
               "assert read_mesh_file('q.mesh').n_elements == 12\n")
-    command = "uq" if method == "bayes" else "calibrate"
-    script += _run_commands([([command, "-c", "cal.cfg", "--method", method], 0)])
-    loaded = _loaded_after(script, tmp_path, ("scipy",))
-    if sparse:
-        assert "scipy.sparse" in loaded
-        assert ("scipy.sparse.linalg" in loaded) == (method == "reduced")
-    else:
-        assert loaded == []
-    assert f"method = {method}" in (tmp_path / "cal.txt").read_text()
+    runs = [(["generate", "-c", "gen.cfg"], 0)]
+    runs += [(["calibrate", "-c", "cal.cfg", "--method", m], None) for m in CALIBRATE_METHODS]
+    runs += [(["uq", "-c", "cal.cfg", "--method", m, "--jobs", "1"], 0) for m in UQ_METHODS]
+    runs += [(["uq", "-c", "level.cfg", "--method", "asymptotic"], 0)]
+    # The Landweber runs stop at max_iter and exit 3; every other command exits 0.
+    runs = [(argv, 3 if code is None and argv[-1].startswith("landweber") else 0)
+            for argv, code in runs]
+    assert _loaded_after(script + _run_commands(runs), tmp_path, ("scipy",)) == []
+    assert "level = 0.9" in (tmp_path / "level.txt").read_text()
 
 
 def test_version_help_report_and_config_errors_load_no_numpy(workdir, generated, tmp_path):

@@ -30,8 +30,8 @@ from oracle_fem import parameter_matrices_from_strains
 
 def row_block_a_cols(ops, u):
     """A(u, ubar) from the row-reduced blocks, one sparse product per term."""
-    return np.column_stack([ops.K_fr[0] @ u + ops.Kbar_fr[0] @ ops.ubar,
-                            ops.K_fr[1] @ u + ops.Kbar_fr[1] @ ops.ubar])
+    return np.column_stack([ops.K_fr[0].matvec(u) + ops.Kbar_fr[0].matvec(ops.ubar),
+                            ops.K_fr[1].matvec(u) + ops.Kbar_fr[1].matvec(ops.ubar)])
 
 
 def blocks_by_assembly(cls, mesh, part):

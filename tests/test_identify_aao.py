@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.linalg import splu
 from numpy.testing import assert_allclose
 
+import calibrix.identify_aao as identify_aao
+import calibrix.mesh_fem as mesh_fem
 from calibrix.benchmarks import plate_forward_model
 from calibrix.errors import DivergenceError, SolverError
 from calibrix.identify_aao import (
@@ -24,7 +24,8 @@ from calibrix.identify_vfm import equilibrium_gap, full_field_vectors, solve_vfm
 from calibrix.materials import c_coords_from_E_nu
 from calibrix.mesh_fem import DofPartition, _factor
 from calibrix.meshes import quarter_plate_mesh
-from cases import general_lu, make_plate_case, plate_observations
+from cases import (calibrix_csr, general_lu, make_plate_case, plate_observations, scipy_csr,
+                   symmetric_lu)
 
 KAPPA_TRUE_C = np.array(c_coords_from_E_nu(210000.0, 0.3))
 
@@ -37,42 +38,55 @@ def _quiet_seminorm_warning():
 
 
 @pytest.fixture
-def splu_calls(monkeypatch):
-    """The keyword arguments of every sparse factorization, in call order."""
+def factor_calls(monkeypatch):
+    """The matrix of every factorization AAO makes, in call order."""
     calls = []
-
-    def counting_splu(*args, **kwargs):
-        calls.append(kwargs)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
+    inner = identify_aao._factor
+    monkeypatch.setattr(identify_aao, "_factor",
+                        lambda M, *args, **kwargs: calls.append(M) or inner(M, *args, **kwargs))
     return calls
 
 
+def scipy_kkt(K, s=1.0, delta=0.0):
+    """s K K^T + delta I by scipy's sparse product: the oracle of ``AaoOperators.kkt``."""
+    K = scipy_csr(K)
+    return calibrix_csr(s * (K @ K.T) + delta * sp.identity(K.shape[0]))
+
+
 class TestKktSolve:
-    def test_bit_identical_to_fresh_factorization(self, splu_calls):
-        # One factorization per solve, no state between solves, and the
-        # general-LU solution to rounding (K K^T squares K's condition).
+    def test_bit_identical_to_fresh_factorization(self, factor_calls):
+        # One factorization per solve, no state between solves, K K^T equal
+        # to scipy's product to rounding, and the solution that of
+        # symmetric-mode SuperLU to rounding: K K^T squares K's condition,
+        # and the two differ by up to 1.4e-11 here.
         mesh = quarter_plate_mesh(30, 25)  # the plate-reference mesh, 1 545 rows
         ops = AaoOperators(mesh, DofPartition.from_mesh(mesh), 1500.0)
         rng = np.random.default_rng(0)
         for i in range(30):
             kappa = DEFAULT_KAPPA0 * rng.uniform(0.8, 1.2, 2)
             K = ops.k_fr(kappa)
-            r0 = ops.p_vec - K @ rng.uniform(-1e-3, 1e-3, ops.n_u)
-            n_calls = len(splu_calls)
-            lam = ops.solve((K @ K.T).tocsc(), r0)
-            assert len(splu_calls) == n_calls + 1
-            fresh = _factor((K @ K.T).tocsc()).solve(r0)
+            r0 = ops.p_vec - K.matvec(rng.uniform(-1e-3, 1e-3, ops.n_u))
+            n_calls = len(factor_calls)
+            M = ops.kkt(kappa)
+            lam = ops.solve(M, r0)
+            assert len(factor_calls) == n_calls + 1
+            fresh = _factor(M, ops._order, border=1).solve(r0)
             assert np.array_equal(lam.view(np.int64), fresh.view(np.int64)), i
-            oracle = general_lu((K @ K.T).tocsc()).solve(r0)
-            assert np.linalg.norm(lam - oracle) <= 1e-9 * np.linalg.norm(oracle), i
+            oracle_M = scipy_kkt(K)
+            assert np.abs(M.toarray() - oracle_M.toarray()).max() <= 1e-14 * np.abs(M.data).max()
+            oracle = symmetric_lu(oracle_M).solve(r0)
+            assert np.linalg.norm(lam - oracle) <= 1e-10 * np.linalg.norm(oracle), i
 
     def test_failed_factorization_raises_solver_error(self, plate_small):
         ops = AaoOperators(plate_small.coarse, plate_small.part, 1500.0)
-        K = ops.k_fr(np.zeros(2))
         with pytest.raises(SolverError, match="condition estimate inf"):
-            ops.solve((K @ K.T).tocsc(), ops.p_vec)
+            ops.solve(ops.kkt(np.zeros(2)), ops.p_vec)
+
+    def test_resultant_row_is_eliminated_last(self):
+        mesh = quarter_plate_mesh(30, 25)
+        ops = AaoOperators(mesh, DofPartition.from_mesh(mesh), 1500.0)
+        assert ops._order[-1] == ops.n_rows - 1
+        assert np.array_equal(np.sort(ops._order), np.arange(ops.n_rows))
 
 
 class TestStateSolve:
@@ -83,17 +97,19 @@ class TestStateSolve:
         ops = AaoOperators(mesh, DofPartition.from_mesh(mesh), 1500.0)
         rng = np.random.default_rng(1)
         for i in range(10):
-            K = ops.k_fr(DEFAULT_KAPPA0 * rng.uniform(0.8, 1.2, 2))
+            kappa = DEFAULT_KAPPA0 * rng.uniform(0.8, 1.2, 2)
             # The state subproblem's matrix s K K^T + delta I, as both AAO
             # flavors form it.
-            M = (rng.uniform(1.0, 1e8) * (K @ K.T)
-                 + rng.uniform(0.0, 1.0) * sp.identity(ops.n_rows)).tocsc()
+            s, delta = rng.uniform(1.0, 1e8), rng.uniform(0.0, 1.0)
+            M = ops.kkt(kappa, s, delta)
             rhs = rng.normal(size=ops.n_rows)
             x = ops.solve(M, rhs)
-            assert np.array_equal(x.view(np.int64), _factor(M).solve(rhs).view(np.int64)), i
-            oracle = general_lu(M).solve(rhs)
-            assert (np.linalg.norm(M @ x - rhs)
-                    <= 10.0 * np.linalg.norm(M @ oracle - rhs)), i
+            fresh = _factor(M, ops._order, border=1).solve(rhs)
+            assert np.array_equal(x.view(np.int64), fresh.view(np.int64)), i
+            oracle_M = scipy_kkt(ops.k_fr(kappa), s, delta)
+            oracle = general_lu(oracle_M).solve(rhs)
+            assert (np.linalg.norm(oracle_M.matvec(x) - rhs)
+                    <= 10.0 * np.linalg.norm(oracle_M.matvec(oracle) - rhs)), i
 
     @pytest.mark.parametrize("n_c, n_r, sigma", [(12, 10, 0.0), (14, 12, 1e-6)])
     def test_state_solve_where_normal_matrix_is_singular_to_rounding(self, n_c, n_r, sigma):
@@ -249,6 +265,22 @@ class TestLandweberAao:
                            beta0=(direct.u, direct.kappa_c), max_iter=1000, tol=1e-8)
         assert lw.converged
         assert lw.iterations <= 2
+
+    @pytest.mark.parametrize("flavor", ["fem", "vfm"])
+    def test_equilibrium_map_once_per_state(self, monkeypatch, tiny, flavor):
+        # A(u) once per state and A(d_u) once per run: at the parent the
+        # gradient formed A(u) twice, and A(d_u) on every call (603 and 905
+        # calls for these 301 states).
+        case, data = tiny
+        calls = []
+        inner = mesh_fem.assemble_parameter_matrices
+        monkeypatch.setattr(mesh_fem, "assemble_parameter_matrices",
+                            lambda *args: calls.append(1) or inner(*args))
+        lw = landweber_aao(case.coarse, case.part, data, sigma_s=1.0, sigma_d=8e10,
+                           sigma_r=1.0, flavor=flavor, max_iter=300, tol=0.0)
+        states = len(lw.objectives)
+        assert states == 301
+        assert len(calls) <= states + 1
 
     def test_non_finite_start_raises(self, tiny):
         case, data = tiny

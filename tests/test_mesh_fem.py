@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -42,7 +41,7 @@ from calibrix.mesh_fem import (
     zero_force_rows,
 )
 from calibrix.meshes import quarter_plate_mesh
-from cases import general_lu, rectangle_mesh, uniaxial_patch_mesh
+from cases import calibrix_csr, general_lu, rectangle_mesh, scipy_csr, uniaxial_patch_mesh
 from oracle_fem import (
     element_stiffness,
     element_stiffness_from_coords,
@@ -162,7 +161,7 @@ class TestAssembly:
 
     def test_solved_state_satisfies_equilibrium(self, plate_solution):
         stiff, pbar, ubar, u, _ = plate_solution
-        resid = stiff.K @ u + stiff.Kbar @ ubar - pbar
+        resid = stiff.K.matvec(u) + stiff.Kbar.matvec(ubar) - pbar
         assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(pbar)
 
 
@@ -267,10 +266,10 @@ class TestParameterMatrices:
             stiff = assemble_stiffness(mesh, part, C)
             a_s, abar_s = assemble_parameter_matrices(mesh, part, u, ubar)
             lhs = a_s @ kappa
-            rhs = stiff.K @ u + stiff.Kbar @ ubar
+            rhs = stiff.K.matvec(u) + stiff.Kbar.matvec(ubar)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
             lhs2 = abar_s @ kappa
-            rhs2 = stiff.Kbar.T @ u + stiff.Kbarbar @ ubar
+            rhs2 = stiff.Kbar.rmatvec(u) + stiff.Kbarbar.matvec(ubar)
             assert np.linalg.norm(lhs2 - rhs2) <= 1e-10 * np.linalg.norm(rhs2)
 
     def test_decomposition_matches_direct_assembly(self, plate, plate_solution):
@@ -279,15 +278,16 @@ class TestParameterMatrices:
         decomp = StiffnessDecomposition.from_mesh(mesh, part)
         stiff = decomp.stiffness(KAPPA_STEEL)
         direct = assemble_stiffness(mesh, part, C_STEEL)
-        assert np.abs((stiff.K - direct.K)).max() <= 1e-9
+        assert np.abs(stiff.K.toarray() - direct.K.toarray()).max() <= 1e-9
         # The equilibrium map agrees with the sparse blocks it shares its
         # element matrices with.
         a_s, abar_s = assemble_parameter_matrices(mesh, part, u, ubar)
         a, b = decomp.blocks
-        assert_allclose(a_s, np.column_stack([a.K @ u + a.Kbar @ ubar, b.K @ u + b.Kbar @ ubar]),
+        assert_allclose(a_s, np.column_stack([a.K.matvec(u) + a.Kbar.matvec(ubar),
+                                              b.K.matvec(u) + b.Kbar.matvec(ubar)]),
                         rtol=1e-9, atol=1e-12)
-        assert_allclose(abar_s, np.column_stack([a.Kbar.T @ u + a.Kbarbar @ ubar,
-                                                 b.Kbar.T @ u + b.Kbarbar @ ubar]),
+        assert_allclose(abar_s, np.column_stack([a.Kbar.rmatvec(u) + a.Kbarbar.matvec(ubar),
+                                                 b.Kbar.rmatvec(u) + b.Kbarbar.matvec(ubar)]),
                         rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("n_c, n_r", [(12, 10), (30, 25)])
@@ -341,7 +341,7 @@ def _plate_bayes_kappas(n, seed):
 
 def _assert_general_lu_solution(u, stiff, rhs):
     """u is within 1e-12 relative of the general-LU solution of K u = rhs."""
-    oracle = general_lu(stiff.K.tocsc()).solve(rhs)
+    oracle = general_lu(stiff.K).solve(rhs)
     assert np.linalg.norm(u - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
@@ -361,8 +361,8 @@ class TestDecompositionSolve:
             # Kbar ubar term is exercised too (the plate's own ubar is 0).
             ubar = ubar_random if i % 2 else ubar_plate
             stiff = decomp.stiffness(kappa)
-            rhs = pbar - stiff.Kbar @ ubar
-            fresh = _factor(stiff.K.tocsc()).solve(rhs)
+            rhs = pbar - stiff.Kbar.matvec(ubar)
+            fresh = _factor(stiff.K, stiff.order).solve(rhs)
             u, _ = decomp.solve(kappa, pbar, ubar)
             assert np.array_equal(u.view(np.int64), fresh.view(np.int64)), i
             _assert_general_lu_solution(u, stiff, rhs)
@@ -376,7 +376,7 @@ class TestDecompositionSolve:
         kept = [(kappa, *decomp.solve(kappa, pbar, ubar)) for kappa in kappas]
         for kappa, u, lu in kept:
             stiff = decomp.stiffness(kappa)
-            rhs = pbar - stiff.Kbar @ ubar
+            rhs = pbar - stiff.Kbar.matvec(ubar)
             assert np.array_equal(lu.solve(rhs).view(np.int64), u.view(np.int64)), kappa
             _assert_general_lu_solution(u, stiff, rhs)
 
@@ -400,7 +400,7 @@ class TestDecompositionSolve:
         # The failed call leaves nothing behind that a later solve would see.
         stiff = decomp.stiffness(KAPPA_STEEL)
         u, _ = decomp.solve(KAPPA_STEEL, pbar, ubar)
-        _assert_general_lu_solution(u, stiff, pbar - stiff.Kbar @ ubar)
+        _assert_general_lu_solution(u, stiff, pbar - stiff.Kbar.matvec(ubar))
 
     def test_alternating_prescribed_displacements_match_fresh_factorization(self, plate):
         # Each kappa is solved with a non-zero ubar and with the plate's own
@@ -415,7 +415,7 @@ class TestDecompositionSolve:
                 for kappa in _plate_bayes_kappas(10, seed=17) for ubar in ubars]
         for kappa, ubar, u in runs:
             stiff = decomp.stiffness(kappa)
-            _assert_general_lu_solution(u, stiff, pbar - stiff.Kbar @ ubar)
+            _assert_general_lu_solution(u, stiff, pbar - stiff.Kbar.matvec(ubar))
 
     def test_transposed_solve_reuses_factors(self, plate):
         mesh, part = plate
@@ -425,8 +425,9 @@ class TestDecompositionSolve:
         r = np.random.default_rng(5).standard_normal(part.n_free)
         for kappa in _plate_bayes_kappas(5, seed=11):
             _, lu = decomp.solve(kappa, pbar, ubar)
-            lam = lu.solve(r, trans="T")
-            oracle = general_lu(decomp.stiffness(kappa).K.T.tocsc()).solve(r)
+            lam = lu.solve(r)  # K is symmetric: one factor solves K^T too
+            K_t = calibrix_csr(scipy_csr(decomp.stiffness(kappa).K).T)
+            oracle = general_lu(K_t).solve(r)
             assert np.linalg.norm(lam - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_zero_coefficients_raise_solver_error(self, plate):
@@ -468,9 +469,10 @@ class TestDecompositionSolve:
 
     def test_condition_estimate_from_factors(self, plate):
         mesh, part = plate
-        K = StiffnessDecomposition.from_mesh(mesh, part).stiffness(KAPPA_STEEL).K.tocsc()
-        exact = np.linalg.cond(K.toarray(), 1)
-        assert 0.5 * exact <= _condition_estimate(K, spla.splu(K)) <= 1.0000001 * exact
+        stiff = StiffnessDecomposition.from_mesh(mesh, part).stiffness(KAPPA_STEEL)
+        exact = np.linalg.cond(stiff.K.toarray(), 1)
+        estimate = _condition_estimate(stiff.K, _factor(stiff.K, stiff.order))
+        assert 0.5 * exact <= estimate <= 1.0000001 * exact
 
     def test_singular_mesh_raises_solver_error(self):
         mesh = rectangle_mesh(2, 2, 1.0, 1.0)  # no supports at all
@@ -559,8 +561,9 @@ def assemble_aao_matrices(mesh, part, kappa, p_check, sigma_r, m=None):
     stiff = assemble_stiffness(mesh, part, C)
     zero = zero_force_rows(mesh, part)
     root = math.sqrt(sigma_r)
-    K_fr = sp.vstack([stiff.K[zero], sp.csr_matrix(root * (m @ stiff.Kbar.T))]).tocsr()
-    Kbar_fr = sp.vstack([stiff.Kbar[zero], sp.csr_matrix(root * (m @ stiff.Kbarbar))]).tocsr()
+    K, Kbar, Kbarbar = (scipy_csr(b) for b in (stiff.K, stiff.Kbar, stiff.Kbarbar))
+    K_fr = sp.vstack([K[zero], sp.csr_matrix(root * (m @ Kbar.T))]).tocsr()
+    Kbar_fr = sp.vstack([Kbar[zero], sp.csr_matrix(root * (m @ Kbarbar))]).tocsr()
     p_vec = np.zeros(len(zero) + 1)
     p_vec[-1] = root * p_check
     return K_fr, Kbar_fr, p_vec
@@ -574,7 +577,7 @@ class TestAaoMatrices:
         scale = np.abs(K_fr.data).max()
         assert_allclose(ops.k_fr(KAPPA_STEEL).toarray(), K_fr.toarray(),
                         rtol=0, atol=1e-12 * scale)
-        kbar = KAPPA_STEEL[0] * ops.Kbar_fr[0] + KAPPA_STEEL[1] * ops.Kbar_fr[1]
+        kbar = KAPPA_STEEL[0] * scipy_csr(ops.Kbar_fr[0]) + KAPPA_STEEL[1] * scipy_csr(ops.Kbar_fr[1])
         assert_allclose(kbar.toarray(), Kbar_fr.toarray(), rtol=0, atol=1e-12 * scale)
         assert np.array_equal(ops.p_vec, p_vec)
 

@@ -75,6 +75,11 @@ class TestCovarianceAndCi:
         assert z_value(0.95) == 1.96
         assert z_value(0.68) == 1.0
 
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.99, 0.999])
+    def test_z_value_matches_scipy(self, level):
+        want = stats.norm.ppf(0.5 * (1.0 + level))
+        assert abs(z_value(level) - want) <= 1e-14 * want
+
 
 class TestTwoStepCovariance:
     def test_reduction_to_one_step(self, twostep_data):
