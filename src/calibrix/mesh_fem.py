@@ -148,7 +148,8 @@ class Mesh:
         a = np.repeat(np.arange(n), deg)
         k = np.arange(pairs.size)
         comp = np.arange(2)
-        pos = (2 * (node_ptr[a] + k))[:, None, None] + comp[:, None] * 2 * deg[a][:, None, None] + comp
+        pos = ((2 * (node_ptr[a] + k))[:, None, None]
+               + comp[:, None] * 2 * deg[a][:, None, None] + comp)
         indices = np.empty(4 * pairs.size, dtype=np.int64)
         indices[pos] = 2 * node_adj[:, None, None] + comp
         indptr = np.empty(2 * n + 1, dtype=np.int64)
@@ -520,9 +521,8 @@ class _BandFactor:
             y -= self.Z @ w
         blocks = self.blocks
         for k in range(len(blocks) - q - 1, -1, -1):
-            t = y[k * p:(k + 1) * p]
-            if q:
-                t = t - blocks[k, 1:].reshape(q * p, p).T @ y[(k + 1) * p:(k + 1 + q) * p]
+            below = y[(k + 1) * p:(k + 1 + q) * p]
+            t = y[k * p:(k + 1) * p] - blocks[k, 1:].reshape(q * p, p).T @ below
             y[k * p:(k + 1) * p] = blocks[k, 0].T @ t
         x = np.empty(len(order))
         x[order[:nb]] = y[:nb]
@@ -537,8 +537,7 @@ class _BandFactor:
         y[:b.shape[0]] = b
         for k in range(len(blocks) - q):
             yk = y[k * p:(k + 1) * p] = blocks[k, 0] @ y[k * p:(k + 1) * p]
-            if q:
-                y[(k + 1) * p:(k + 1 + q) * p] -= blocks[k, 1:].reshape(q * p, p) @ yk
+            y[(k + 1) * p:(k + 1 + q) * p] -= blocks[k, 1:].reshape(q * p, p) @ yk
         return y
 
 
@@ -581,19 +580,17 @@ def _factor(M: _Csr, order: np.ndarray, border: int = 0) -> _BandFactor:
         blocks[pad // p, 0, pad % p, pad % p] = 1.0
         for k in range(n_blocks):
             blocks[k, 0] = inv = _root_inverse(blocks[k, 0], norm)
-            if q:
-                P = blocks[k, 1:].reshape(q * p, p) @ inv.T
-                blocks[k, 1:] = P.reshape(q, p, p)
-                for j in range(1, q + 1):
-                    blocks[k + j, :q - j + 1].reshape(-1, p)[...] -= (
-                        P[(j - 1) * p:] @ P[(j - 1) * p:j * p].T)
+            P = blocks[k, 1:].reshape(q * p, p) @ inv.T
+            blocks[k, 1:] = P.reshape(q, p, p)
+            for j in range(1, q + 1):
+                Pj = P[(j - 1) * p:j * p]
+                blocks[k + j, :q - j + 1].reshape(-1, p)[...] -= P[(j - 1) * p:] @ Pj.T
         factor = _BandFactor(blocks, order, nb)
         if border:
-            C = np.zeros((nb, border))
-            D = np.zeros((border, border))
-            edge = ~band
-            C[c[edge & (c < nb)], r[edge & (c < nb)] - nb] = v[edge & (c < nb)]
-            D[r[edge & (c >= nb)] - nb, c[edge & (c >= nb)] - nb] = v[edge & (c >= nb)]
+            C, D = np.zeros((nb, border)), np.zeros((border, border))
+            to_band, inner = ~band & (c < nb), ~band & (c >= nb)
+            C[c[to_band], r[to_band] - nb] = v[to_band]
+            D[r[inner] - nb, c[inner] - nb] = v[inner]
             factor.Z = factor._forward(C)
             factor.S_inv = _root_inverse(D - factor.Z.T @ factor.Z, norm)
     except np.linalg.LinAlgError:

@@ -577,7 +577,7 @@ class TestAaoMatrices:
         scale = np.abs(K_fr.data).max()
         assert_allclose(ops.k_fr(KAPPA_STEEL).toarray(), K_fr.toarray(),
                         rtol=0, atol=1e-12 * scale)
-        kbar = KAPPA_STEEL[0] * scipy_csr(ops.Kbar_fr[0]) + KAPPA_STEEL[1] * scipy_csr(ops.Kbar_fr[1])
+        kbar = sum(k * scipy_csr(block) for k, block in zip(KAPPA_STEEL, ops.Kbar_fr))
         assert_allclose(kbar.toarray(), Kbar_fr.toarray(), rtol=0, atol=1e-12 * scale)
         assert np.array_equal(ops.p_vec, p_vec)
 
