@@ -465,6 +465,36 @@ def test_point_model_commands_load_no_sparse_stack(tmp_path):
     assert loaded == []
 
 
+@pytest.mark.parametrize("method, sparse", [("vfm", False), ("reduced", True),
+                                            ("bayes", True)])
+def test_calibrate_loads_scipy_only_to_factor(workdir, generated, tmp_path, method, sparse):
+    """No calibration loads scipy, not even to factor K.
+
+    ``reduced`` builds the CSR stiffness blocks and factors K with the band
+    Cholesky.  ``uq --method bayes`` builds the blocks but factors nothing:
+    it solves through the pencil spectrum.  The VFM solve builds neither.
+    """
+    write_config(tmp_path, "cal.cfg", mesh_file=workdir / "plate.mesh",
+                 data=workdir / "data.csv", report_out="cal.txt",
+                 sigma_e=2e-4, walkers=8, steps=10, chain_out="chain.csv")
+    script = ("from calibrix import mesh_fem\n"
+              "built = {'csr': 0, 'factor': 0}\n"
+              "def _counting(cls, key):\n"
+              "    init = cls.__init__\n"
+              "    def counted(self, *args, **kwargs):\n"
+              "        built[key] += 1\n"
+              "        init(self, *args, **kwargs)\n"
+              "    cls.__init__ = counted\n"
+              "_counting(mesh_fem._Csr, 'csr')\n"
+              "_counting(mesh_fem._BandFactor, 'factor')\n")
+    command = "uq" if method == "bayes" else "calibrate"
+    script += _run_commands([([command, "-c", "cal.cfg", "--method", method], 0)])
+    script += (f"assert (built['csr'] > 0) == {sparse!r}, built\n"
+               f"assert (built['factor'] > 0) == {method == 'reduced'!r}, built\n")
+    assert _loaded_after(script, tmp_path, ("scipy",)) == []
+    assert f"method = {method}" in (tmp_path / "cal.txt").read_text()
+
+
 def test_no_command_loads_scipy(workdir, generated, tmp_path):
     """Every command runs on numpy alone: the mesh files, ``generate``, every
     calibration method and every uq method, asymptotic at a level outside
