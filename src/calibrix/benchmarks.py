@@ -60,10 +60,17 @@ class PlateCase:
     ubar: np.ndarray
 
 
-def plate_displacements(case: PlateCase, E: float, nu: float) -> np.ndarray:
-    """Forward solve on the identification mesh; full nodal displacement vector."""
+def plate_displacements(case: PlateCase, E: float, nu: float,
+                        solved: dict | None = None) -> np.ndarray:
+    """Forward solve on the identification mesh; full nodal displacement vector.
+
+    A dict ``solved`` receives the free-dof displacements as "u" and the
+    factor of K(E, nu) as "factor", for sensitivities.
+    """
     kappa_c = np.array(c_coords_from_E_nu(E, nu))
-    u, _ = case.decomp.solve(kappa_c, case.pbar, case.ubar)
+    u, factor = case.decomp.solve(kappa_c, case.pbar, case.ubar)
+    if solved is not None:
+        solved.update(u=u, factor=factor)
     return case.part.merge(u, case.ubar)
 
 
@@ -78,12 +85,38 @@ def plate_forward_model(case: PlateCase) -> ForwardModel:
 
     Output layout matches the observation set: the u1 block over all
     measurement nodes, then the u2 block.
+
+    The model's ``jacobian`` differentiates the solve with the factor of its
+    last evaluation: with K(kappa_c) = C11 K_a + C12 K_b and kappa_c =
+    (C11, C12), du/dkappa_c = -K^-1 [K_a u + Kbar_a ubar, K_b u + Kbar_b ubar],
+    and the chain rule through ``c_coords_from_E_nu`` gives du/d(E, nu).  So
+    a Jacobian costs one solve for two right-hand sides, and no forward
+    evaluation or factorization, when it is taken at the point just
+    evaluated; elsewhere it evaluates the model there first.
     """
 
     layout = _observation_layout(case)
+    last = {}  # kappa of the last evaluation, with its "u" and "factor"
 
     def simulate(kappa):
-        return plate_displacements(case, kappa[0], kappa[1])[layout]
+        last.clear()
+        full = plate_displacements(case, kappa[0], kappa[1], last)
+        last["kappa"] = np.array(kappa, dtype=float)
+        return full[layout]
+
+    def jacobian(kappa):
+        if "kappa" not in last or not np.array_equal(last["kappa"], kappa):
+            simulate(kappa)
+        E, nu = kappa
+        # From the blocks, not A_S, so the fit does not depend on how A_S is formed.
+        cols = np.column_stack([b.K.matvec(last["u"]) + b.Kbar.matvec(case.ubar)
+                                for b in case.decomp.blocks])
+        f = 1.0 / (1.0 - nu * nu)
+        # d(C11, C12)/d(E, nu) of C11 = E f, C12 = nu E f.
+        dc = np.array([[f, 2.0 * nu * E * f * f], [nu * f, (1.0 + nu * nu) * E * f * f]])
+        J = np.zeros((case.coarse.n_dofs, 2))
+        J[case.part.free] = last["factor"].solve(-(cols @ dc))
+        return J[layout]
 
     return ForwardModel(
         simulate=simulate,
@@ -91,6 +124,7 @@ def plate_forward_model(case: PlateCase) -> ForwardModel:
         lower=np.array([1e4, 0.01]),
         upper=np.array([9e5, 0.49]),
         comps=("u1", "u2"),
+        jacobian=jacobian,
     )
 
 

@@ -88,11 +88,50 @@ class AaoOperators(_EquilibriumRows):
         data[self._diagonal] += delta
         return self._gram.like(data)
 
+    def factor(self, M: _Csr):
+        """The factor of a system from ``kkt``: K K^T of the minimum-norm
+        correction or s K K^T + delta I of the state subproblem.
+        SolverError only when M does not factor."""
+        return _factor(M, self._order, border=1)
+
     def solve(self, M: _Csr, r: np.ndarray) -> np.ndarray:
-        """x with M x = r, for the solvers' systems from ``kkt``: K K^T of the
-        minimum-norm correction and s K K^T + delta I of the state
-        subproblem.  SolverError only when M does not factor."""
-        return _factor(M, self._order, border=1).solve(r)
+        """x with M x = r, for a system from ``kkt``."""
+        return self.factor(M).solve(r)
+
+    def data_residual(self, kappa, d_u):
+        """K = K_fr(kappa) and r0 = p_vec - Kbar_fr(kappa) ubar - K d_u, the
+        physics residual carried by the data state d_u."""
+        K = self.k_fr(kappa)
+        b = self.p_vec - _combine(kappa, *self.Kbar_fr).matvec(self.ubar)
+        return K, b - K.matvec(d_u)
+
+    def min_norm_correction(self, kappa, d_u):
+        """The least-norm w with K_fr(kappa) (d_u + w) + Kbar_fr(kappa) ubar =
+        p_vec: w = K^T lambda with (K K^T) lambda = r0.  Returns w and the
+        (K, lambda, factor of K K^T) that ``min_norm_jacobian`` takes."""
+        K, r0 = self.data_residual(kappa, d_u)
+        factor = self.factor(self.kkt(kappa))
+        lam = factor.solve(r0)
+        return K.rmatvec(lam), (K, lam, factor)
+
+    def min_norm_jacobian(self, d_u, w, kept) -> np.ndarray:
+        """dw/dkappa (n_u x 2) of ``min_norm_correction``, from what it kept.
+
+        With K_j = K_fr,j, dr0/dkappa_j = -Kbar_fr,j ubar - K_j d_u; so with
+        u = d_u + w, differentiating K K^T lambda = r0 gives
+        (K K^T) dlambda_j = -(K_j u + Kbar_fr,j ubar) - K K_j^T lambda, and
+        dw_j = K_j^T lambda + K^T dlambda_j: one solve for two right-hand
+        sides with the factor in hand, no factorization.  The products with
+        the blocks, not ``a_cols``, keep w and kappa independent of how A_S
+        is formed.
+        """
+        K, lam, factor = kept
+        u = d_u + w
+        back = [Kj.rmatvec(lam) for Kj in self.K_fr]
+        rhs = np.column_stack([-(Kj.matvec(u) + Kbj.matvec(self.ubar)) - K.matvec(bj)
+                               for Kj, Kbj, bj in zip(self.K_fr, self.Kbar_fr, back)])
+        dlam = factor.solve(rhs)
+        return np.column_stack([bj + K.rmatvec(dlam[:, j]) for j, bj in enumerate(back)])
 
     def physics_residual(self, u, kappa) -> np.ndarray:
         return self.a_cols(u) @ kappa - self.p_vec
@@ -194,6 +233,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
     converged = False
     message = "max iterations reached"
     it = 0
+    rejected = 0  # trial points a step search turned down
 
     def kappa_subproblem(u):
         """Exact least-squares update of kappa at fixed state."""
@@ -208,11 +248,6 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
             tgt.append(math.sqrt(gamma_p) * kappa_init)
         return np.linalg.lstsq(np.vstack(rows), np.concatenate(tgt), rcond=None)[0]
 
-    def r0_of(kappa):
-        K = ops.k_fr(kappa)
-        b = ops.p_vec - _combine(kappa, *ops.Kbar_fr).matvec(ops.ubar)
-        return K, b - K.matvec(d_u)  # the physics residual carried by the data state
-
     def state_subproblem(kappa):
         """Exact minimization over u at fixed kappa.
 
@@ -225,7 +260,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
         v = gamma_s (u_init - d_u) / delta and the full-rank system
         (s K K^T + delta I) y = sigma_s r0 - s K v.
         """
-        K, r0 = r0_of(kappa)
+        K, r0 = ops.data_residual(kappa, d_u)
         s = sigma_s + (sigma_d if flavor == "vfm" else 0.0)
         delta = gamma_s + (sigma_d if flavor == "fem" else 0.0)
         v = gamma_s / delta * (u_init - d_u) if gamma_s > 0.0 else np.zeros(ops.n_u)
@@ -247,7 +282,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
                 message = "block updates below tolerance"
                 break
         foc = aao_foc_residuals(ops, flavor, u, kappa, d_u, sigma_s, sigma_d)
-        return u, kappa, obj, it, converged, message, history, foc
+        return u, kappa, obj, it, converged, message, history, foc, rejected
 
     # Variable projection: both residual blocks are linear in u for fixed
     # kappa, so the state is eliminated exactly and the remaining problem
@@ -267,7 +302,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
         # at the data.
         it = 1
         kappa = np.linalg.lstsq(A_d, ops.p_vec, rcond=None)[0]
-        K, r0 = r0_of(kappa)
+        K, r0 = ops.data_residual(kappa, d_u)
         shrink = sigma_s / (sigma_s + sigma_d)
         u = d_u + K.rmatvec(ops.solve(ops.kkt(kappa), shrink * r0))
         obj, r = phi(u, kappa)
@@ -279,30 +314,32 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
         # physics term, so the objective is lexicographic to machine
         # precision: enforce the physics rows exactly and minimize
         # ||u - d_u|| over the remaining freedom.  Gauss-Newton on the
-        # minimum-norm correction w(kappa) = K^T (K K^T)^{-1} r0(kappa).
-        def min_norm_w(kappa):
-            K, r0 = r0_of(kappa)
-            return K.rmatvec(ops.solve(ops.kkt(kappa), r0))
-
-        w = min_norm_w(kappa)
+        # minimum-norm correction w(kappa) = K^T (K K^T)^{-1} r0(kappa), with
+        # its exact Jacobian from the factor of K K^T (``min_norm_jacobian``):
+        # the factor of an accepted trial gives the next Jacobian, so the
+        # iteration factors once per trial point.  It stops at first-order
+        # optimality to rounding, ||J^T w|| <= 1e-8 ||J||_F ||w||; the
+        # step-size and "stationary" exits remain for a start that cannot
+        # get there.
+        w, kept = ops.min_norm_correction(kappa, d_u)
         lam_damp = 1e-3
         for it in range(1, max_iter + 1):
-            h = 1e-6 * np.maximum(np.abs(kappa), 1.0)
-            J = np.empty((w.size, 2))
-            for j in range(2):
-                pert = kappa.copy()
-                pert[j] += h[j]
-                J[:, j] = (min_norm_w(pert) - w) / h[j]
+            J = ops.min_norm_jacobian(d_u, w, kept)
             g = J.T @ w
+            if np.linalg.norm(g) <= 1e-8 * np.linalg.norm(J) * np.linalg.norm(w):
+                converged = True
+                message = "first-order optimality (lexicographic)"
+                break
             H = J.T @ J
             accepted = False
             for _ in range(40):
                 step = np.linalg.solve(H + lam_damp * np.diag(np.diag(H)), -g)
                 kappa_new = kappa + step
-                w_new = min_norm_w(kappa_new)
+                w_new, kept_new = ops.min_norm_correction(kappa_new, d_u)
                 if np.isfinite(w_new @ w_new) and w_new @ w_new <= w @ w:
                     accepted = True
                     break
+                rejected += 1
                 lam_damp *= 10.0
             if not accepted:
                 converged = True
@@ -310,7 +347,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
                 break
             lam_damp = max(lam_damp / 10.0, 1e-12)
             dkappa = np.linalg.norm(kappa_new - kappa)
-            kappa, w = kappa_new, w_new
+            kappa, w, kept = kappa_new, w_new, kept_new
             if dkappa <= 1e-10 * (1.0 + np.linalg.norm(kappa)):
                 converged = True
                 message = "step below tolerance (lexicographic)"
@@ -362,6 +399,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
                 if np.all(np.isfinite(g_new)) and np.linalg.norm(g_new) < np.linalg.norm(g):
                     accepted = True
                     break
+                rejected += 1
                 t *= 0.5
             if not accepted:
                 converged = True
@@ -376,7 +414,7 @@ def _solve_joint(ops, flavor, d_u, sigma_s, sigma_d, u_init, kappa_init,
         obj, r = phi(u, kappa)
         history.append(obj)
     foc = aao_foc_residuals(ops, flavor, u, kappa, d_u, sigma_s, sigma_d)
-    return u, kappa, obj, it, converged, message, history, foc
+    return u, kappa, obj, it, converged, message, history, foc, rejected
 
 
 def _aao_solve(flavor, mesh, part, data, sigma_s, sigma_d, beta0, sigma_r, m,
@@ -407,11 +445,12 @@ def _aao_solve(flavor, mesh, part, data, sigma_s, sigma_d, beta0, sigma_r, m,
                          gamma_s, gamma_p, method, max_iter, gtol)
         )
     best = min(runs, key=lambda t: t[2])
-    u, kappa, obj, its, converged, message, history, foc = best
+    u, kappa, obj, its, converged, message, history, foc, rejected = best
     E, nu = E_nu_from_c_coords(*kappa)
     kappas = np.array([r[1] for r in runs])
     diagnostics = {
         "history": history,
+        "rejected_steps": rejected,
         "starts": starts,
         "kappa_spread": np.ptp(kappas, axis=0) if starts > 1 else np.zeros(2),
         "all_start_kappas": kappas,

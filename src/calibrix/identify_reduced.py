@@ -2,9 +2,12 @@
 
 The forward model is enforced exactly (each evaluation solves the governing
 system) and only the material parameters are optimized: damped Gauss-Newton
-(Levenberg-Marquardt) on the weighted least-squares objective, sensitivities
-by external forward-difference differentiation, and a gradient-descent
-(Landweber) variant for comparison with the direct solver.
+(Levenberg-Marquardt) on the weighted least-squares objective, and a
+gradient-descent (Landweber) variant for comparison with the direct solver.
+The sensitivities come from the model's own ``jacobian`` where it has one
+(the plate differentiates its solve with the factor already in hand), and
+otherwise by external forward-difference differentiation, the paper's
+reference method.
 """
 
 from __future__ import annotations
@@ -23,7 +26,11 @@ class ForwardModel:
 
     ``simulate`` returns the stacked simulated observation vector in the same
     layout as the paired data.  ``comps`` names the observation blocks the
-    model predicts, used to slice an ObservationSet.
+    model predicts, used to slice an ObservationSet.  ``jacobian``, where the
+    model has one, returns the exact sensitivity matrix (n_data x n_params)
+    at kappa without a forward evaluation when kappa is the point of the
+    model's last evaluation; ``solve_nls`` uses it in place of
+    ``jacobian_external_nd``.
     """
 
     simulate: Callable[[np.ndarray], np.ndarray]
@@ -31,6 +38,7 @@ class ForwardModel:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     comps: tuple | None = None
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, kappa) -> np.ndarray:
         return np.asarray(self.simulate(np.asarray(kappa, dtype=float)), dtype=float)
@@ -134,8 +142,18 @@ def solve_nls(
     acceptance.  Terminates on the scaled gradient norm (gtol), on relative
     objective change (ftol), or on step size (xtol).  Always returns the best
     iterate; a singular normal matrix flags the result as non-identifiable.
+    The sensitivities are ``model.jacobian``'s where the model has one, each
+    taken at the point just evaluated, and forward differences with
+    ``nd_steps`` otherwise; ``n_evals`` counts the forward evaluations.
     """
     d, W = data_vectors(model, data)
+
+    def sensitivities(kappa, s):
+        """J at kappa, whose forward evaluation is s, and the evaluations spent."""
+        if model.jacobian is not None:
+            return np.asarray(model.jacobian(kappa), dtype=float), 0
+        return jacobian_external_nd(model, kappa, nd_steps, base=s), model.n_params
+
     kappa = model.clip(kappa0)
     s = model(kappa)
     n_evals = 1
@@ -151,8 +169,8 @@ def solve_nls(
 
     J = None  # the Jacobian at kappa; None once kappa has moved past it
     for iterations in range(1, max_iter + 1):
-        J = jacobian_external_nd(model, kappa, nd_steps, base=s)
-        n_evals += model.n_params
+        J, spent = sensitivities(kappa, s)
+        n_evals += spent
         Jw = W[:, None] * J
         g = Jw.T @ rw
         grad_scale = 1.0 + np.linalg.norm(Jw.T @ (W * d))
@@ -195,8 +213,8 @@ def solve_nls(
             break
 
     if J is None:
-        J = jacobian_external_nd(model, kappa, nd_steps, base=s)
-        n_evals += model.n_params
+        J, spent = sensitivities(kappa, s)
+        n_evals += spent
     Jw = W[:, None] * J
     H = Jw.T @ Jw
     r = s - d

@@ -164,8 +164,9 @@ class Mesh:
     @cached_property
     def _node_order(self) -> np.ndarray:
         """Node elimination order: the mesh's own node order or a reverse
-        Cuthill-McKee order, whichever has the smaller semi-bandwidth (the
-        mesh's own where the node graph is not connected).
+        Cuthill-McKee order, whichever has the smaller semi-bandwidth.  The
+        reverse Cuthill-McKee order takes the connected components of the
+        node graph one after another, and the nodes no element uses last.
 
         The Cuthill-McKee sweep starts from the far level set of a breadth-first
         search from a node of least degree, not from one node: on a structured
@@ -175,11 +176,16 @@ class Mesh:
         """
         *_, ptr, adj = self._pattern
         deg = np.diff(ptr)
-        far = _level_sets(ptr, adj, deg, np.array([np.argmin(deg)]))[-1]
-        rcm = np.concatenate(_level_sets(ptr, adj, deg, far))[::-1]
+        left = deg > 0  # nodes no element uses have no row and go last
+        parts = []
+        while left.any():  # one connected component at a time
+            start = np.flatnonzero(left)[np.argmin(deg[left])]
+            far = _level_sets(ptr, adj, deg, np.array([start]))[-1]
+            part = np.concatenate(_level_sets(ptr, adj, deg, far))
+            left[part] = False
+            parts.append(part[::-1])
+        rcm = np.concatenate(parts + [np.flatnonzero(deg == 0)])
         natural = np.arange(self.n_nodes)
-        if rcm.size < self.n_nodes:  # the node graph is not connected
-            return natural
         return min((natural, rcm), key=lambda order: _node_bandwidth(self.elements, order))
 
 
@@ -514,6 +520,7 @@ class _BandFactor:
         self.Z = self.S_inv = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with M x = rhs, for a vector rhs or an (n, m) array of m of them."""
         p, q, nb, order = self.p, self.q, self.n_band, self.order
         y = self._forward(rhs[order[:nb]])
         if self.Z is not None:
@@ -524,7 +531,7 @@ class _BandFactor:
             below = y[(k + 1) * p:(k + 1 + q) * p]
             t = y[k * p:(k + 1) * p] - blocks[k, 1:].reshape(q * p, p).T @ below
             y[k * p:(k + 1) * p] = blocks[k, 0].T @ t
-        x = np.empty(len(order))
+        x = np.empty((len(order), *rhs.shape[1:]))
         x[order[:nb]] = y[:nb]
         if self.Z is not None:
             x[order[nb:]] = w

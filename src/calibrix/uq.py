@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, IdentifiabilityError, NumericalError, ParameterError
+from .errors import (ConfigError, DivergenceError, IdentifiabilityError, NumericalError,
+                     ParameterError)
 from .identify_reduced import default_nd_steps
 
 _Z_TABLE = {0.95: 1.96, 0.68: 1.0}
@@ -23,7 +24,10 @@ _Z_TABLE = {0.95: 1.96, 0.68: 1.0}
 
 def z_value(level: float) -> float:
     """Two-sided standard normal quantile of a confidence level in (0, 1);
-    the rounded table values keep the reports of 0.95 and 0.68 as they were."""
+    the rounded table values keep the reports of 0.95 and 0.68 as they were.
+    ConfigError for any other level, nan included."""
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"level must lie in (0, 1), got {level!r}")
     if level in _Z_TABLE:
         return _Z_TABLE[level]
     from statistics import NormalDist  # 6 ms to import, and the table covers the defaults
@@ -84,8 +88,10 @@ def covariance_and_ci(result, level: float = 0.95) -> UncertaintyReport:
     """Asymptotic covariance and confidence intervals of an NLS estimate.
 
     Uses the unweighted residuals and sensitivities: s^2 = r^T r / (n - 1),
-    C = s^2 (J^T J)^{-1}, interval kappa +- z(level) sqrt(C_ii).
+    C = s^2 (J^T J)^{-1}, interval kappa +- z(level) sqrt(C_ii).  ConfigError
+    for a level outside (0, 1).
     """
+    z = z_value(level)
     r = np.asarray(result.residual, dtype=float)
     J = np.asarray(result.jacobian, dtype=float)
     n = r.size
@@ -99,7 +105,6 @@ def covariance_and_ci(result, level: float = 0.95) -> UncertaintyReport:
         ) from None
     C = 0.5 * (C + C.T)
     std = np.sqrt(np.maximum(np.diag(C), 0.0))
-    z = z_value(level)
     est = np.asarray(result.kappa, dtype=float)
     ci = np.column_stack([est - z * std, est + z * std])
     verdict = identifiability_check(result.hessian)

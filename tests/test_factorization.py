@@ -78,6 +78,28 @@ def test_fits_match_general_lu(monkeypatch, plate_small, plate_small_noisy):
     assert aao.nu == pytest.approx(aao_lu.nu, rel=1e-6)
 
 
+def test_factorizations_per_fit(monkeypatch, plate_small, plate_small_noisy):
+    # Sensitivities come from the factor in hand: AAO factors once at its
+    # start and once per trial point, and the reduced fit once per forward
+    # evaluation.
+    factored = {"aao": 0, "reduced": 0}
+
+    def counting(module, key):
+        inner = module._factor
+
+        def factor(*args, **kwargs):
+            factored[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_factor", factor)
+
+    counting(identify_aao, "aao")
+    counting(mesh_fem, "reduced")
+    reduced, aao = _fits(plate_small, plate_small_noisy)
+    assert factored["aao"] <= 1 + aao.iterations + aao.diagnostics["rejected_steps"]
+    assert factored["reduced"] == reduced.n_evals
+
+
 @pytest.mark.parametrize("n_c, n_r, grading", [(12, 10, 1.5), (30, 25, 1.5), (120, 103, 1.3)],
                          ids=["264-dofs", "1560-dofs", "24960-dofs"])
 def test_band_solve_matches_superlu(n_c, n_r, grading):

@@ -175,6 +175,30 @@ class TestAaoFem:
         assert spread.shape == (2,) and np.all(np.isfinite(spread))
         assert result.diagnostics["all_start_kappas"].shape == (5, 2)
 
+    @pytest.mark.parametrize("kappa", [DEFAULT_KAPPA0, KAPPA_TRUE_C])
+    def test_min_norm_jacobian_matches_central_difference(self, plate_small,
+                                                          plate_small_noisy, kappa):
+        # Central differences with h = 1e-4 kappa_j err by O(h^2), about 2e-8
+        # relative here, well above the rounding of w through K K^T.
+        d_u, p_check = full_field_vectors(plate_small.coarse, plate_small.part,
+                                          plate_small_noisy)
+        ops = AaoOperators(plate_small.coarse, plate_small.part, p_check)
+        w, kept = ops.min_norm_correction(kappa, d_u)
+        J = ops.min_norm_jacobian(d_u, w, kept)
+        for j in range(2):
+            h = np.zeros(2)
+            h[j] = 1e-4 * kappa[j]
+            central = (ops.min_norm_correction(kappa + h, d_u)[0]
+                       - ops.min_norm_correction(kappa - h, d_u)[0]) / (2.0 * h[j])
+            assert np.linalg.norm(J[:, j] - central) <= 1e-6 * np.linalg.norm(central), j
+
+    def test_lexicographic_fit_stops_at_first_order_optimality(self, plate_small,
+                                                               plate_small_noisy):
+        result = aao_fem_solve(plate_small.coarse, plate_small.part, plate_small_noisy)
+        assert result.converged
+        assert result.message == "first-order optimality (lexicographic)"
+        assert result.iterations <= 6
+
     def test_equilibrium_not_satisfied_on_noisy_data(self, plate_small):
         noisy = plate_observations(plate_small, 4e-4, seed=3)
         result = aao_fem_solve(plate_small.coarse, plate_small.part, noisy)

@@ -90,6 +90,52 @@ class TestJacobian:
             jacobian_external_nd(model, np.array([1.0, 2.0]), steps=1e-2)
 
 
+class TestPlateJacobian:
+    """The plate model's own Jacobian, from the factor of its last solve."""
+
+    def test_modulus_column_is_minus_u_over_E(self, plate_small):
+        # Every repo plate prescribes ubar = 0, so K(E, nu) = E K(1, nu) and
+        # du/dE = -u / E exactly; the solve leaves only rounding.
+        assert not np.any(plate_small.ubar)
+        model = plate_forward_model(plate_small)
+        for kappa in (KAPPA_TRUE, np.array([185000.0, 0.34])):
+            s = model(kappa)
+            J = model.jacobian(kappa)
+            assert np.linalg.norm(J[:, 0] + s / kappa[0]) <= 1e-12 * np.linalg.norm(s / kappa[0])
+
+    @pytest.mark.parametrize("kappa", [KAPPA_TRUE, np.array([185000.0, 0.34])])
+    def test_agrees_with_forward_differences(self, plate_small, kappa):
+        # Forward differences with step h err by about h |s''| / 2: 1e-6
+        # relative in E (s is proportional to 1/E) and less in nu.
+        model = plate_forward_model(plate_small)
+        s = model(kappa)
+        J = model.jacobian(kappa)
+        J_nd = jacobian_external_nd(model, kappa, base=s)
+        err = np.linalg.norm(J - J_nd, axis=0) / np.linalg.norm(J, axis=0)
+        assert np.all(err <= 3e-6), err
+
+    def test_at_a_point_not_just_evaluated(self, plate_small):
+        model = plate_forward_model(plate_small)
+        kappa = np.array([185000.0, 0.34])
+        model(kappa)
+        J = model.jacobian(kappa)
+        model(KAPPA_TRUE)
+        assert np.array_equal(model.jacobian(kappa), J)
+
+    def test_solve_nls_takes_no_forward_differences(self, monkeypatch, plate_small,
+                                                    plate_small_noisy):
+        import calibrix.identify_reduced as identify_reduced
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward differences on a model with a jacobian")
+
+        monkeypatch.setattr(identify_reduced, "jacobian_external_nd", refuse)
+        model = plate_forward_model(plate_small)
+        result = solve_nls(model, plate_small_noisy, np.array([180000.0, 0.35]))
+        assert result.converged
+        assert np.array_equal(result.jacobian, model.jacobian(result.kappa))
+
+
 class TestSolveNls:
     def test_exact_recovery_on_matched_data(self, plate_small, plate_small_matched):
         model = plate_forward_model(plate_small)
@@ -179,6 +225,28 @@ class TestSolveNls:
             assert sum(np.array_equal(k, pert) for k in calls) == 1
         J = jacobian_external_nd(model, result.kappa)
         assert np.array_equal(result.jacobian.view(np.int64), J.view(np.int64))
+
+    def test_model_jacobian_replaces_forward_differences(self):
+        # A model with its own Jacobian: only the iterates and trial points
+        # are evaluated, and the result carries that Jacobian at its kappa.
+        t = np.linspace(0.0, 2.0, 9)
+        calls = []
+
+        def simulate(k):
+            calls.append(k.copy())
+            return k[0] * np.exp(-k[1] * t)
+
+        def jacobian(k):
+            e = np.exp(-k[1] * t)
+            return np.column_stack([e, -k[0] * t * e])
+
+        model = ForwardModel(simulate=simulate, names=("a", "b"), jacobian=jacobian)
+        d = 2.0 * np.exp(-0.7 * t) + 0.01 * np.sin(7.0 * t)
+        result = solve_nls(model, (d, np.ones_like(d)), np.array([1.0, 0.3]))
+        assert result.converged
+        assert result.n_evals == len(calls) <= 1 + 2 * result.iterations
+        assert np.array_equal(result.jacobian, jacobian(result.kappa))
+        assert foc_residual(result, (d, np.ones_like(d)), model) <= 1e-6
 
 
 class TestTracerContract:

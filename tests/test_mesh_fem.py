@@ -165,6 +165,24 @@ class TestAssembly:
         assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(pbar)
 
 
+class TestNodeOrder:
+    def test_disconnected_graph_gets_reverse_cuthill_mckee_bandwidth(self):
+        # Two separate unit squares and a node no element uses, numbered at
+        # random: each square's four nodes come out adjacent, so the
+        # semi-bandwidth is 3, and the unused node comes last.
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                          [2.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0], [5.0, 5.0]])
+        perm = np.random.default_rng(4).permutation(len(nodes))  # new id -> old id
+        new_id = np.argsort(perm)
+        elements = new_id[np.array([[0, 1, 2, 3], [4, 5, 6, 7]])]
+        mesh = Mesh(nodes=nodes[perm], elements=elements, thickness=1.0)
+        assert mesh_fem._node_bandwidth(elements, np.arange(len(nodes))) > 3
+        order = mesh._node_order
+        assert np.array_equal(np.sort(order), np.arange(len(nodes)))
+        assert mesh_fem._node_bandwidth(elements, order) == 3
+        assert order[-1] == new_id[8]
+
+
 class TestSolveLinear:
     def test_homogeneous(self, plate_solution):
         stiff = plate_solution[0]

@@ -17,7 +17,8 @@ from calibrix.benchmarks import (
     two_step_identify,
     uniaxial_response,
 )
-from calibrix.errors import DivergenceError, NumericalError, ParameterError, SolverError
+from calibrix.errors import (ConfigError, DivergenceError, NumericalError, ParameterError,
+                             SolverError)
 from calibrix.identify_reduced import ForwardModel, jacobian_external_nd, solve_nls
 from calibrix.materials import c_coords_from_E_nu
 from calibrix.uq import (
@@ -79,6 +80,18 @@ class TestCovarianceAndCi:
     def test_z_value_matches_scipy(self, level):
         want = stats.norm.ppf(0.5 * (1.0 + level))
         assert abs(z_value(level) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("level", [-0.2, 0.0, 1.0, 1.5, float("nan"), float("inf")])
+    def test_level_outside_unit_interval_raises_config_error(self, level):
+        # -0.2 gave an inverted interval and 1.5 a StatisticsError.
+        with pytest.raises(ConfigError, match=r"level must lie in \(0, 1\)"):
+            z_value(level)
+        result = type("R", (), {})()
+        result.residual = np.ones(10)
+        result.jacobian = np.linspace(1.0, 2.0, 10)[:, None]
+        result.kappa = np.array([1.0])
+        with pytest.raises(ConfigError, match=r"level must lie in \(0, 1\)"):
+            covariance_and_ci(result, level=level)
 
 
 class TestTwoStepCovariance:
