@@ -130,19 +130,23 @@ def plate_forward_model(case: PlateCase) -> ForwardModel:
 
 def plate_log_posterior(case: PlateCase, data: ObservationSet, sigma_e: float,
                         lower, upper):
-    """Log posterior over (E, nu) with a uniform box prior.
+    """Log posterior over (E, nu) with a uniform box prior, for a batch of
+    points: the rows of an (m, 2) array in, m values out.
 
     The noise level is prescribed, not inferred; only the displacement blocks
-    enter the likelihood.
+    enter the likelihood.  A row outside [lower, upper] gives -inf without a
+    solve.  The returned function has ``vectorized = True``, so
+    ``ensemble_sample`` passes it a whole half-ensemble per call.
 
     The plate is solved through the stiffness pencil's spectrum
     (``StiffnessDecomposition.spectral_solver``), not by a sparse
-    factorization per call: after a dense set-up on the first call of this
-    function, an evaluation costs two dense matrix-vector products and the
-    factoring path's residual check.  The values match ``plate_forward_model``
-    to rounding.  An evaluation whose spectral solution fails that check calls
-    ``plate_displacements``, the factoring path, instead; so every kappa that
-    path accepts is accepted, and a singular kappa raises its SolverError.
+    factorization per point: after a dense set-up on the first call of this
+    function, a batch costs one dense matrix product for the displacements
+    and the factoring path's residual check per column.  The values match
+    ``plate_forward_model`` to rounding.  A point whose spectral solution
+    fails that check is solved by ``plate_displacements``, the factoring path,
+    instead, in row order; so every kappa that path accepts is accepted, and
+    a singular kappa raises its SolverError.
     """
     d, _, _ = data.select(("u1", "u2"))
     lower = np.asarray(lower, dtype=float)
@@ -150,17 +154,24 @@ def plate_log_posterior(case: PlateCase, data: ObservationSet, sigma_e: float,
     layout = _observation_layout(case)
     solve = case.decomp.spectral_solver(case.pbar, case.ubar)
 
-    def log_post(kappa):
-        if np.any(kappa < lower) or np.any(kappa > upper):
-            return -np.inf
-        u = solve(c_coords_from_E_nu(kappa[0], kappa[1]))
-        if u is None:
-            full = plate_displacements(case, kappa[0], kappa[1])
-        else:
-            full = case.part.merge(u, case.ubar)
-        r = full[layout] - d
-        return -0.5 * float(r @ r) / sigma_e**2
+    def log_post(kappas):
+        kappas = np.asarray(kappas, dtype=float)
+        out = np.full(len(kappas), -np.inf)
+        inside = ~np.any((kappas < lower) | (kappas > upper), axis=1)
+        if not inside.any():
+            return out
+        E, nu = kappas[inside].T
+        U, ok = solve(np.column_stack(c_coords_from_E_nu(E, nu)))
+        full = np.empty((case.coarse.n_dofs, U.shape[1]))
+        full[case.part.free] = U
+        full[case.part.prescribed] = case.ubar[:, None]
+        for j in np.flatnonzero(~ok):
+            full[:, j] = plate_displacements(case, E[j], nu[j])
+        r = full[layout] - d[:, None]
+        out[inside] = -0.5 * np.einsum("ij,ij->j", r, r) / sigma_e**2
+        return out
 
+    log_post.vectorized = True
     return log_post
 
 

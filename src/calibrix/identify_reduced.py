@@ -100,6 +100,15 @@ def jacobian_external_nd(
     return J
 
 
+def _sensitivities(model: ForwardModel, kappa, s, nd_steps=None) -> tuple[np.ndarray, int]:
+    """J at kappa, whose forward evaluation is s, and the forward evaluations
+    spent: ``model.jacobian``'s where the model has one, else forward
+    differences with ``nd_steps``."""
+    if model.jacobian is not None:
+        return np.asarray(model.jacobian(kappa), dtype=float), 0
+    return jacobian_external_nd(model, kappa, nd_steps, base=s), model.n_params
+
+
 @dataclass(eq=False)
 class CalibrationResult:
     """Parameter estimate with solver diagnostics and (optional) uncertainty."""
@@ -147,13 +156,6 @@ def solve_nls(
     ``nd_steps`` otherwise; ``n_evals`` counts the forward evaluations.
     """
     d, W = data_vectors(model, data)
-
-    def sensitivities(kappa, s):
-        """J at kappa, whose forward evaluation is s, and the evaluations spent."""
-        if model.jacobian is not None:
-            return np.asarray(model.jacobian(kappa), dtype=float), 0
-        return jacobian_external_nd(model, kappa, nd_steps, base=s), model.n_params
-
     kappa = model.clip(kappa0)
     s = model(kappa)
     n_evals = 1
@@ -169,7 +171,7 @@ def solve_nls(
 
     J = None  # the Jacobian at kappa; None once kappa has moved past it
     for iterations in range(1, max_iter + 1):
-        J, spent = sensitivities(kappa, s)
+        J, spent = _sensitivities(model, kappa, s, nd_steps)
         n_evals += spent
         Jw = W[:, None] * J
         g = Jw.T @ rw
@@ -213,7 +215,7 @@ def solve_nls(
             break
 
     if J is None:
-        J, spent = sensitivities(kappa, s)
+        J, spent = _sensitivities(model, kappa, s, nd_steps)
         n_evals += spent
     Jw = W[:, None] * J
     H = Jw.T @ Jw
@@ -281,6 +283,9 @@ def landweber_reduced(
     ``scale`` non-dimensionalizes the parameters (default |kappa0|); the step
     satisfies mu ||J||^2 < 2 via a power-iteration estimate of the scaled
     normal matrix, and is halved until the objective decreases monotonically.
+    The sensitivities are ``model.jacobian``'s where the model has one, each
+    taken at the iterate just evaluated, and forward differences with
+    ``nd_steps`` otherwise, as in ``solve_nls``.
     """
     d, W = data_vectors(model, data)
     kappa = np.asarray(kappa0, dtype=float).copy()
@@ -293,7 +298,7 @@ def landweber_reduced(
     objectives = [phi]
     converged = False
     for it in range(1, max_iter + 1):
-        J = jacobian_external_nd(model, kappa, nd_steps, base=s)
+        J, _ = _sensitivities(model, kappa, s, nd_steps)
         Jw = (W[:, None] * J) * S[None, :]
         g_scaled = Jw.T @ rw  # gradient in the scaled variables
         L = _power_iteration_norm(Jw.T @ Jw)

@@ -766,8 +766,8 @@ class StiffnessDecomposition:
 
     ``spectrum`` caches, on first use, the eigenpairs of the pencil
     (K_b, K_a), which diagonalize K(kappa) for every kappa at once;
-    ``spectral_solver`` solves through them where many kappa share one
-    right-hand side, as a sampler's do.
+    ``spectral_solver`` solves through them for a batch of kappa that share
+    one right-hand side, as a sampler's half-ensemble does.
     """
 
     mesh: Mesh
@@ -830,36 +830,48 @@ class StiffnessDecomposition:
             return None
 
     def spectral_solver(self, pbar, ubar):
-        """Solver kappa -> free-dof displacements u of
-        K(kappa) u = pbar - Kbar(kappa) ubar through ``spectrum``.
+        """Solver for a batch of kappa: the rows of an (m, 2) array -> (U, ok),
+        where column j of U (n_free x m) holds the free-dof displacements u of
+        K(kappa_j) u = pbar - Kbar(kappa_j) ubar, solved through ``spectrum``.
 
         With c = V^T pbar, c_a = V^T Kbar_a ubar and c_b = V^T Kbar_b ubar,
-        u = V [(c - kappa_0 c_a - kappa_1 c_b) / (kappa_0 + kappa_1 lam)]: two
-        dense matrix-vector products, no factorization.  The solver returns
-        None where ``solve`` would not accept u: u not finite, or its relative
-        residual, with K(kappa) u formed as kappa_0 (K_a u) + kappa_1 (K_b u),
-        above 1e-8.  It returns None for every kappa when there is no
-        spectrum.  The caller then solves by ``solve``, which accepts or raises
-        SolverError as it always does.
+        U = V W with W_ij = (c - kappa_j0 c_a - kappa_j1 c_b)_i /
+        (kappa_j0 + kappa_j1 lam_i): one dense matrix product, no
+        factorization.  The boolean mask ok (m) marks the columns that
+        ``solve`` would accept: u finite, and its relative residual, with
+        K(kappa) u formed as kappa_0 (K_a u) + kappa_1 (K_b u), at most 1e-8.
+        A column not ok holds no solution; every column is not ok when there
+        is no spectrum.  The caller then solves that kappa by ``solve``,
+        which accepts it or raises SolverError as it always does.
         """
         if self.spectrum is None:
-            return lambda kappa: None
+            n_free = self.part.n_free
+            return lambda kappas: (np.full((n_free, len(kappas)), np.nan),
+                                   np.zeros(len(kappas), dtype=bool))
         lam, V = self.spectrum
         a, b = self.blocks
-        pbar = np.asarray(pbar, dtype=float)
+        # Dense for the residual products, which then cost two matrix
+        # products per batch.  Formed after the spectrum, in memory its
+        # set-up has freed.
+        K_a, K_b = a.K.toarray(), b.K.toarray()
+        pbar = np.asarray(pbar, dtype=float)[:, None]
         ubar = np.asarray(ubar, dtype=float)
-        fa, fb = a.Kbar.matvec(ubar), b.Kbar.matvec(ubar)
+        fa, fb = a.Kbar.matvec(ubar)[:, None], b.Kbar.matvec(ubar)[:, None]
         c, ca, cb = V.T @ pbar, V.T @ fa, V.T @ fb
+        lam = lam[:, None]
 
-        def solve(kappa):
-            k0, k1 = kappa
+        def solve(kappas):
+            k0, k1 = np.asarray(kappas, dtype=float).T
             # A singular or non-finite kappa gives inf or nan here; the check
-            # rejects it, so numpy need not warn.
+            # rejects its column, so numpy need not warn.
             with np.errstate(all="ignore"):
-                u = V @ ((c - k0 * ca - k1 * cb) / (k0 + k1 * lam))
+                U = V @ ((c - k0 * ca - k1 * cb) / (k0 + k1 * lam))
                 rhs = pbar - (k0 * fa + k1 * fb)
-                r = k0 * a.K.matvec(u) + k1 * b.K.matvec(u) - rhs
-                return None if _inaccurate(u, r, rhs) is not None else u
+                R = k0 * (K_a @ U) + k1 * (K_b @ U) - rhs
+                scale = np.sqrt(np.einsum("ij,ij->j", rhs, rhs))
+                resid = np.sqrt(np.einsum("ij,ij->j", R, R))
+                ok = np.isfinite(U).all(axis=0) & ~((scale > 0) & (resid > 1e-8 * scale))
+            return U, ok
 
         return solve
 

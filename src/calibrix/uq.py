@@ -311,20 +311,46 @@ def ensemble_sample(
 
     The two half-ensembles are updated alternately (each walker moves along
     the line to a partner from the complementary half, with stretch factor
-    z ~ g(z) on [1/a, a]).  Proposals outside [lower, upper] are rejected, so
-    every sample stays inside the support.  Deterministic for a fixed seed.
+    z ~ g(z) on [1/a, a]).  Proposals outside [lower, upper] are rejected
+    without evaluating ``log_post``, so every sample stays inside the support.
+    Deterministic for a fixed seed.
     A run whose acceptance rate is below ``LOW_ACCEPTANCE`` warns once, at
     the end, with the rate and the number of sweeps that accepted nothing.
-    Fewer than ``2 * ndim`` walkers, fewer than one step or ``a <= 1`` raise
-    ParameterError.
+
+    ``log_post`` takes one point and returns its log density, unless it has
+    a true ``vectorized`` attribute: then it takes the rows of a (k, ndim)
+    array and returns k values, and is called once for the initial walkers
+    and once per half-ensemble update with that half's in-box proposals
+    (none when no proposal is inside), as emcee's ``vectorize`` does
+    (Foreman-Mackey et al. 2013).  Within a half-ensemble the proposals do
+    not depend on each other's values, so the chain, random draws included,
+    is the same either way.
+
+    Fewer than ``2 * ndim`` walkers, fewer than one step, ``a <= 1``, or an
+    ``initial`` that is not a finite (n_walkers, ndim) array inside
+    [lower, upper] raise ParameterError.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     ndim = lower.size
     _check_sampler_settings(ndim, n_walkers, n_steps, a)
     rng = np.random.default_rng(seed)
-    x = rng.uniform(lower, upper, size=(n_walkers, ndim)) if initial is None else np.array(initial, dtype=float)
-    lp = np.array([log_post(xi) for xi in x])
+    if initial is None:
+        x = rng.uniform(lower, upper, size=(n_walkers, ndim))
+    else:
+        x = np.array(initial, dtype=float)
+        if x.shape != (n_walkers, ndim):
+            raise ParameterError(f"initial must have shape ({n_walkers}, {ndim}), "
+                                 f"got {x.shape}")
+        if not np.all(np.isfinite(x) & (x >= lower) & (x <= upper)):
+            raise ParameterError("initial walkers must be finite and inside [lower, upper]")
+    if getattr(log_post, "vectorized", False):
+        def evaluate(points):
+            return np.asarray(log_post(points), dtype=float)
+    else:
+        def evaluate(points):
+            return np.array([log_post(p) for p in points], dtype=float)
+    lp = evaluate(x)
     half = n_walkers // 2
     groups = (np.arange(0, half), np.arange(half, n_walkers))
     samples = np.empty((n_walkers, n_steps, ndim))
@@ -339,8 +365,8 @@ def ensemble_sample(
             proposal = x[partners] + z[:, None] * (x[active] - x[partners])
             inside = np.all((proposal >= lower) & (proposal <= upper), axis=1)
             lp_prop = np.full(active.size, -np.inf)
-            for i in np.flatnonzero(inside):
-                lp_prop[i] = log_post(proposal[i])
+            if inside.any():
+                lp_prop[inside] = evaluate(proposal[inside])
             log_ratio = (ndim - 1.0) * np.log(z) + lp_prop - lp[active]
             accept = np.log(rng.uniform(size=active.size)) < log_ratio
             x[active[accept]] = proposal[accept]

@@ -1,5 +1,7 @@
 """Tests for the reduced (forward-model-exact) calibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -318,6 +320,31 @@ class TestLandweberReduced:
         out = landweber_reduced(model, plate_small_matched,
                                 np.array([195000.0, 0.32]), max_iter=3000, tol=1e-12)
         assert_allclose(out.kappa, direct.kappa, rtol=1e-3)
+
+    def test_plate_fit_takes_no_forward_differences(self, monkeypatch, plate_small,
+                                                    plate_small_noisy):
+        import calibrix.identify_reduced as identify_reduced
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward differences on a model with a jacobian")
+
+        monkeypatch.setattr(identify_reduced, "jacobian_external_nd", refuse)
+        out = landweber_reduced(plate_forward_model(plate_small), plate_small_noisy,
+                                np.array([190000.0, 0.32]), max_iter=40)
+        assert out.iterations == 40
+
+    def test_exact_jacobian_agrees_with_forward_differences(self, plate_small,
+                                                            plate_small_noisy):
+        # Forward differences err by about 1e-6 relative in J; 40 iterations
+        # from the same start stay close on either sensitivity.
+        model = plate_forward_model(plate_small)
+        differenced = dataclasses.replace(model, jacobian=None)
+        start = np.array([190000.0, 0.32])
+        exact = landweber_reduced(model, plate_small_noisy, start, max_iter=40)
+        nd = landweber_reduced(differenced, plate_small_noisy, start, max_iter=40)
+        assert exact.iterations == nd.iterations == 40
+        assert_allclose(exact.kappa, nd.kappa, rtol=1e-6)
+        assert_allclose(exact.objectives, nd.objectives, rtol=1e-6)
 
 
 class TestMultiplierForm:

@@ -498,9 +498,12 @@ class TestDecompositionSolve:
         decomp = StiffnessDecomposition.from_mesh(mesh, part)
         with pytest.raises(SolverError, match="condition estimate"):
             decomp.solve(KAPPA_STEEL, np.ones(part.n_free), np.zeros(0))
-        # K_a has rigid body modes, so there is no spectrum to solve through.
+        # K_a has rigid body modes, so there is no spectrum to solve through,
+        # and the solver rejects every column.
         assert decomp.spectrum is None
-        assert decomp.spectral_solver(np.ones(part.n_free), np.zeros(0))(KAPPA_STEEL) is None
+        solve = decomp.spectral_solver(np.ones(part.n_free), np.zeros(0))
+        _, ok = solve(np.array([KAPPA_STEEL, 2.0 * KAPPA_STEEL]))
+        assert ok.tolist() == [False, False]
 
 
 class TestSpectrum:
@@ -519,13 +522,17 @@ class TestSpectrum:
         decomp = StiffnessDecomposition.from_mesh(mesh, part)
         pbar = applied_forces(mesh, part)
         ubar = np.random.default_rng(8).uniform(-1e-3, 1e-3, part.n_prescribed)
-        solve = decomp.spectral_solver(pbar, ubar)
-        for kappa in _plate_bayes_kappas(20, seed=19):
+        kappas = _plate_bayes_kappas(20, seed=19)
+        U, ok = decomp.spectral_solver(pbar, ubar)(np.array(kappas))
+        assert U.shape == (part.n_free, 20) and ok.all()
+        for u, kappa in zip(U.T, kappas):
             u_lu, _ = decomp.solve(kappa, pbar, ubar)
-            assert np.linalg.norm(solve(kappa) - u_lu) <= 1e-12 * np.linalg.norm(u_lu)
+            assert np.linalg.norm(u - u_lu) <= 1e-12 * np.linalg.norm(u_lu)
 
-    @pytest.mark.parametrize("kappa", [np.zeros(2), np.ones(2), np.array([1.0, -1.0]),
-                                       np.array([np.inf, np.inf]), np.array([np.nan, 1.0])],
+    SINGULAR = [np.zeros(2), np.ones(2), np.array([1.0, -1.0]), np.array([np.inf, np.inf]),
+                np.array([np.nan, 1.0])]
+
+    @pytest.mark.parametrize("kappa", SINGULAR,
                              ids=["kappa=0", "C11=C12", "C11=-C12", "inf", "nan"])
     def test_spectral_solver_rejects_singular_coefficients(self, plate, kappa):
         mesh, part = plate
@@ -533,7 +540,27 @@ class TestSpectrum:
         solve = decomp.spectral_solver(applied_forces(mesh, part), prescribed_values(mesh, part))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert solve(kappa) is None
+            _, ok = solve(kappa[None, :])
+        assert ok.tolist() == [False]
+
+    def test_spectral_solver_rejects_exactly_the_singular_columns(self, plate):
+        # The five singular kappa among regular ones: each column is judged
+        # on its own, and the batch raises no numpy warning.
+        mesh, part = plate
+        decomp = StiffnessDecomposition.from_mesh(mesh, part)
+        pbar, ubar = applied_forces(mesh, part), prescribed_values(mesh, part)
+        regular = _plate_bayes_kappas(6, seed=23)
+        kappas = np.array([regular[0], *self.SINGULAR[:3], *regular[1:4],
+                           *self.SINGULAR[3:], *regular[4:]])
+        singular = np.zeros(len(kappas), dtype=bool)
+        singular[[1, 2, 3, 7, 8]] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U, ok = decomp.spectral_solver(pbar, ubar)(kappas)
+        assert np.array_equal(ok, ~singular)
+        for u, kappa in zip(U.T[ok], kappas[ok]):
+            u_lu, _ = decomp.solve(kappa, pbar, ubar)
+            assert np.linalg.norm(u - u_lu) <= 1e-12 * np.linalg.norm(u_lu)
 
 
 class TestVfmSystem:

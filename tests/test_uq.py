@@ -1,5 +1,6 @@
 """Tests for the statistical layer."""
 
+import dataclasses
 import re
 import warnings
 
@@ -262,6 +263,52 @@ class TestEnsembleSampler:
             with pytest.raises(ParameterError, match=f"need at least one step, got {n_steps}"):
                 ensemble_sample(lambda x: 0.0, np.zeros(1), np.ones(1), 4, n_steps)
 
+    @pytest.mark.parametrize("shape", [(10, 2), (4, 2), (6, 3), (12,)])
+    def test_initial_of_the_wrong_shape(self, shape):
+        with pytest.raises(ParameterError, match=r"initial must have shape \(6, 2\)"):
+            ensemble_sample(lambda x: 0.0, np.zeros(2), np.ones(2), 6, 10,
+                            initial=np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan, np.inf])
+    def test_initial_outside_the_box_or_not_finite(self, bad):
+        initial = np.full((6, 2), 0.5)
+        initial[3, 1] = bad
+        with pytest.raises(ParameterError, match="finite and inside"):
+            ensemble_sample(lambda x: 0.0, np.zeros(2), np.ones(2), 6, 10, initial=initial)
+
+    def test_initial_on_the_box_edges_runs(self):
+        initial = np.tile([[0.0, 1.0], [1.0, 0.0]], (3, 1))
+        chain = ensemble_sample(lambda x: 0.0, np.zeros(2), np.ones(2), 6, 10, initial=initial)
+        assert np.all((chain.samples >= 0.0) & (chain.samples <= 1.0))
+
+    def test_vectorized_log_post_gives_the_same_chain(self):
+        # One call per half-ensemble update, with only the in-box proposals,
+        # and the chain of the scalar form, bit for bit.
+        mu, s = np.array([0.3, -0.2]), np.array([0.2, 0.3])
+        batches = []
+
+        def scalar(x):
+            return -0.5 * float(np.sum(((x - mu) / s) ** 2))
+
+        def rows(x):
+            batches.append(x.copy())
+            return np.array([scalar(xi) for xi in x])
+
+        rows.vectorized = True
+        lower, upper = [-1.0, -1.0], [1.0, 1.0]
+        one = ensemble_sample(scalar, lower, upper, n_walkers=10, n_steps=40, a=3.0, seed=4)
+        batched = ensemble_sample(rows, lower, upper, n_walkers=10, n_steps=40, a=3.0,
+                                  seed=4)
+        assert np.array_equal(one.samples, batched.samples)
+        assert np.array_equal(one.log_posts, batched.log_posts)
+        assert np.array_equal(one.accepted, batched.accepted)
+        assert batches[0].shape == (10, 2)
+        assert len(batches) <= 2 * 40 + 1
+        assert sum(len(b) for b in batches[1:]) < 40 * 10  # some proposals left the box
+        for b in batches[1:]:
+            assert 1 <= len(b) <= 5
+            assert np.all((b >= lower) & (b <= upper))
+
 
 class TestBernsteinVonMises:
     def test_posterior_std_approaches_asymptotic_std(self):
@@ -304,11 +351,40 @@ class TestPlateLogPosterior:
         lower, upper = self.BOX
         spectral = plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
         oracle = lu_plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
-        for kappa in np.random.default_rng(21).uniform(lower, upper, size=(100, 2)):
+        assert spectral.vectorized
+        kappas = np.random.default_rng(21).uniform(lower, upper, size=(100, 2))
+        values = spectral(kappas)
+        assert values.shape == (100,)
+        for kappa, value in zip(kappas, values):
             expected = oracle(kappa)
-            assert abs(spectral(kappa) - expected) <= 1e-10 * abs(expected), kappa
+            assert abs(value - expected) <= 1e-10 * abs(expected), kappa
         outside = np.array([1.2 * 210000.0, 0.3])
-        assert spectral(outside) == oracle(outside) == -np.inf
+        assert spectral(outside[None, :])[0] == oracle(outside) == -np.inf
+
+    def test_rows_outside_the_box_are_not_solved(self, monkeypatch, plate_small,
+                                                 plate_small_noisy):
+        from calibrix.mesh_fem import StiffnessDecomposition
+
+        lower, upper = self.BOX
+        batches = []
+        spectral_solver = StiffnessDecomposition.spectral_solver
+
+        def counting_solver(self, pbar, ubar):
+            solve = spectral_solver(self, pbar, ubar)
+            return lambda kappas: batches.append(len(kappas)) or solve(kappas)
+
+        monkeypatch.setattr(StiffnessDecomposition, "spectral_solver", counting_solver)
+        log_post = plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
+        oracle = lu_plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
+        outside = np.array([[1.2 * 210000.0, 0.3], [210000.0, 0.2], [210000.0, np.inf]])
+        assert log_post(outside).tolist() == [-np.inf] * 3
+        assert batches == []
+        inside = np.random.default_rng(24).uniform(lower, upper, size=(2, 2))
+        mixed = np.array([outside[0], inside[0], outside[1], inside[1], outside[2]])
+        values = log_post(mixed)
+        assert batches == [2]
+        assert values[[0, 2, 4]].tolist() == [-np.inf] * 3
+        assert_allclose(values[[1, 3]], [oracle(k) for k in inside], rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_chain_identical_to_lu_chain(self, plate_small, plate_small_noisy, seed):
@@ -331,10 +407,12 @@ class TestPlateLogPosterior:
         outcomes = []
         for make in (plate_log_posterior, lu_plate_log_posterior):
             log_post = make(plate_small, plate_small_noisy, 4e-4, lower, upper)
+            kappa = np.array([210000.0, nu])
             try:
                 # At nu = +-1, C11 = E / (1 - nu^2) is inf, and K(kappa) nan.
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    outcomes.append(log_post(np.array([210000.0, nu])))
+                    outcomes.append(log_post(kappa[None, :])[0] if make is plate_log_posterior
+                                    else log_post(kappa))
             except SolverError as exc:
                 outcomes.append(str(exc))
         spectral, lu = outcomes
@@ -349,6 +427,8 @@ class TestPlateLogPosterior:
 
     def test_rejected_spectral_solve_falls_back_to_lu(self, monkeypatch, plate_small,
                                                       plate_small_noisy):
+        # The solver rejects every other column; each rejected one, and only
+        # those, is solved by plate_displacements, in row order.
         import calibrix.benchmarks as benchmarks
         from calibrix.mesh_fem import StiffnessDecomposition
 
@@ -356,14 +436,45 @@ class TestPlateLogPosterior:
         oracle = lu_plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
         kappas = np.random.default_rng(22).uniform(lower, upper, size=(5, 2))
         expected = [oracle(kappa) for kappa in kappas]
-        monkeypatch.setattr(StiffnessDecomposition, "spectral_solver",
-                            lambda self, pbar, ubar: lambda kappa: None)
+        spectral_solver = StiffnessDecomposition.spectral_solver
+
+        def rejecting_solver(self, pbar, ubar):
+            solve = spectral_solver(self, pbar, ubar)
+
+            def half(kappas):
+                U, ok = solve(kappas)
+                return U, ok & (np.arange(len(kappas)) % 2 == 1)
+
+            return half
+
+        monkeypatch.setattr(StiffnessDecomposition, "spectral_solver", rejecting_solver)
         calls = []
         lu_displacements = benchmarks.plate_displacements
         monkeypatch.setattr(benchmarks, "plate_displacements",
                             lambda *args: calls.append(args) or lu_displacements(*args))
         log_post = plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
-        assert [log_post(kappa) for kappa in kappas] == expected
+        assert_allclose(log_post(kappas), expected, rtol=1e-10, atol=0.0)
+        assert [(E, nu) for _, E, nu in calls] == [tuple(k) for k in kappas[::2]]
+
+    def test_no_spectrum_sends_every_column_to_lu(self, monkeypatch, plate_small,
+                                                  plate_small_noisy):
+        import calibrix.benchmarks as benchmarks
+        from calibrix.mesh_fem import StiffnessDecomposition
+
+        lower, upper = self.BOX
+        oracle = lu_plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
+        kappas = np.random.default_rng(25).uniform(lower, upper, size=(4, 2))
+        expected = [oracle(kappa) for kappa in kappas]
+        # A fresh decomposition: the fixture's has its spectrum cached.
+        case = dataclasses.replace(plate_small, decomp=StiffnessDecomposition.from_mesh(
+            plate_small.coarse, plate_small.part))
+        monkeypatch.setattr(StiffnessDecomposition, "spectrum", None)
+        calls = []
+        lu_displacements = benchmarks.plate_displacements
+        monkeypatch.setattr(benchmarks, "plate_displacements",
+                            lambda *args: calls.append(args) or lu_displacements(*args))
+        log_post = plate_log_posterior(case, plate_small_noisy, 4e-4, lower, upper)
+        assert_allclose(log_post(kappas), expected, rtol=1e-12, atol=0.0)
         assert len(calls) == len(kappas)
 
 
