@@ -145,8 +145,9 @@ def plate_log_posterior(case: PlateCase, data: ObservationSet, sigma_e: float,
     and the factoring path's residual check per column.  The values match
     ``plate_forward_model`` to rounding.  A point whose spectral solution
     fails that check is solved by ``plate_displacements``, the factoring path,
-    instead, in row order; so every kappa that path accepts is accepted, and
-    a singular kappa raises its SolverError.
+    instead, in row order, and its value is that path's exactly; so every
+    kappa that path accepts is accepted, and a singular kappa raises its
+    SolverError.
     """
     d, _, _ = data.select(("u1", "u2"))
     lower = np.asarray(lower, dtype=float)
@@ -162,13 +163,18 @@ def plate_log_posterior(case: PlateCase, data: ObservationSet, sigma_e: float,
             return out
         E, nu = kappas[inside].T
         U, ok = solve(np.column_stack(c_coords_from_E_nu(E, nu)))
-        full = np.empty((case.coarse.n_dofs, U.shape[1]))
-        full[case.part.free] = U
+        full = np.empty((case.coarse.n_dofs, np.count_nonzero(ok)))
+        full[case.part.free] = U[:, ok]
         full[case.part.prescribed] = case.ubar[:, None]
-        for j in np.flatnonzero(~ok):
-            full[:, j] = plate_displacements(case, E[j], nu[j])
         r = full[layout] - d[:, None]
-        out[inside] = -0.5 * np.einsum("ij,ij->j", r, r) / sigma_e**2
+        values = np.empty(len(E))
+        values[ok] = -0.5 * np.einsum("ij,ij->j", r, r) / sigma_e**2
+        # A rejected point is solved and summed as plate_forward_model's
+        # evaluation is, so its value is the factoring path's to the bit.
+        for j in np.flatnonzero(~ok):
+            r = plate_displacements(case, E[j], nu[j])[layout] - d
+            values[j] = -0.5 * float(r @ r) / sigma_e**2
+        out[inside] = values
         return out
 
     log_post.vectorized = True

@@ -608,16 +608,18 @@ def _factor(M: _Csr, order: np.ndarray, border: int = 0) -> _BandFactor:
     return factor
 
 
-def _inaccurate(x: np.ndarray, r: np.ndarray, rhs: np.ndarray) -> float | None:
-    """Relative residual ||r|| / ||rhs|| of a solution x with residual r when
-    x is not finite or that residual exceeds 1e-8; None when x passes."""
-    # The ddot and sqrt that np.linalg.norm runs on a vector, without its
-    # dispatch overhead.
-    scale = math.sqrt(rhs @ rhs)
-    resid = math.sqrt(r @ r)
-    if not np.all(np.isfinite(x)) or (scale > 0 and resid > 1e-8 * scale):
-        return resid / max(scale, 1e-300)
-    return None
+def _rejected(x: np.ndarray, r: np.ndarray, rhs: np.ndarray):
+    """The rule by which every solve here accepts a solution x of K x = rhs
+    with residual r: x finite, and ||r|| <= 1e-8 ||rhs|| unless rhs is zero.
+
+    Returns (rejected, ||r|| / ||rhs||); for matrices x, r and rhs, each is
+    taken per column, and rejected is a mask.
+    """
+    with np.errstate(all="ignore"):
+        scale = np.sqrt(np.einsum("i...,i...->...", rhs, rhs))
+        resid = np.sqrt(np.einsum("i...,i...->...", r, r))
+        rejected = ~np.isfinite(x).all(axis=0) | ((scale > 0) & (resid > 1e-8 * scale))
+        return rejected, resid / np.maximum(scale, 1e-300)
 
 
 def _factor_solve(K: _Csr, order: np.ndarray, rhs: np.ndarray):
@@ -628,8 +630,8 @@ def _factor_solve(K: _Csr, order: np.ndarray, rhs: np.ndarray):
     """
     factor = _factor(K, order)
     x = factor.solve(rhs)
-    resid = _inaccurate(x, K.matvec(x) - rhs, rhs)
-    if resid is not None:
+    rejected, resid = _rejected(x, K.matvec(x) - rhs, rhs)
+    if rejected:
         raise SolverError(
             f"linear solve inaccurate (relative residual {resid:.3e}); "
             f"condition estimate {_condition_estimate(K, factor):.3e}"
@@ -838,10 +840,10 @@ class StiffnessDecomposition:
         U = V W with W_ij = (c - kappa_j0 c_a - kappa_j1 c_b)_i /
         (kappa_j0 + kappa_j1 lam_i): one dense matrix product, no
         factorization.  The boolean mask ok (m) marks the columns that
-        ``solve`` would accept: u finite, and its relative residual, with
-        K(kappa) u formed as kappa_0 (K_a u) + kappa_1 (K_b u), at most 1e-8.
-        A column not ok holds no solution; every column is not ok when there
-        is no spectrum.  The caller then solves that kappa by ``solve``,
+        ``solve`` would accept, by the same rule (``_rejected``), with
+        K(kappa) u formed as kappa_0 (K_a u) + kappa_1 (K_b u).  A column not
+        ok holds no solution; every column is not ok when there is no
+        spectrum.  The caller then solves that kappa by ``solve``,
         which accepts it or raises SolverError as it always does.
         """
         if self.spectrum is None:
@@ -868,10 +870,7 @@ class StiffnessDecomposition:
                 U = V @ ((c - k0 * ca - k1 * cb) / (k0 + k1 * lam))
                 rhs = pbar - (k0 * fa + k1 * fb)
                 R = k0 * (K_a @ U) + k1 * (K_b @ U) - rhs
-                scale = np.sqrt(np.einsum("ij,ij->j", rhs, rhs))
-                resid = np.sqrt(np.einsum("ij,ij->j", R, R))
-                ok = np.isfinite(U).all(axis=0) & ~((scale > 0) & (resid > 1e-8 * scale))
-            return U, ok
+            return U, ~_rejected(U, R, rhs)[0]
 
         return solve
 

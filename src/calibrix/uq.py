@@ -305,7 +305,6 @@ def ensemble_sample(
     n_steps: int,
     a: float = 2.0,
     seed=0,
-    initial: np.ndarray | None = None,
 ) -> EnsembleChain:
     """Affine-invariant stretch-move sampler over a box prior support.
 
@@ -326,31 +325,21 @@ def ensemble_sample(
     not depend on each other's values, so the chain, random draws included,
     is the same either way.
 
-    Fewer than ``2 * ndim`` walkers, fewer than one step, ``a <= 1``, or an
-    ``initial`` that is not a finite (n_walkers, ndim) array inside
-    [lower, upper] raise ParameterError.
+    The walkers start uniformly distributed over [lower, upper].  Fewer than
+    ``2 * ndim`` walkers, fewer than one step or ``a <= 1`` raise
+    ParameterError.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     ndim = lower.size
     _check_sampler_settings(ndim, n_walkers, n_steps, a)
     rng = np.random.default_rng(seed)
-    if initial is None:
-        x = rng.uniform(lower, upper, size=(n_walkers, ndim))
+    vectorized = getattr(log_post, "vectorized", False)
+    x = rng.uniform(lower, upper, size=(n_walkers, ndim))
+    if vectorized:
+        lp = np.asarray(log_post(x), dtype=float)
     else:
-        x = np.array(initial, dtype=float)
-        if x.shape != (n_walkers, ndim):
-            raise ParameterError(f"initial must have shape ({n_walkers}, {ndim}), "
-                                 f"got {x.shape}")
-        if not np.all(np.isfinite(x) & (x >= lower) & (x <= upper)):
-            raise ParameterError("initial walkers must be finite and inside [lower, upper]")
-    if getattr(log_post, "vectorized", False):
-        def evaluate(points):
-            return np.asarray(log_post(points), dtype=float)
-    else:
-        def evaluate(points):
-            return np.array([log_post(p) for p in points], dtype=float)
-    lp = evaluate(x)
+        lp = np.array([log_post(xi) for xi in x])
     half = n_walkers // 2
     groups = (np.arange(0, half), np.arange(half, n_walkers))
     samples = np.empty((n_walkers, n_steps, ndim))
@@ -365,8 +354,12 @@ def ensemble_sample(
             proposal = x[partners] + z[:, None] * (x[active] - x[partners])
             inside = np.all((proposal >= lower) & (proposal <= upper), axis=1)
             lp_prop = np.full(active.size, -np.inf)
-            if inside.any():
-                lp_prop[inside] = evaluate(proposal[inside])
+            if vectorized:
+                if inside.any():
+                    lp_prop[inside] = log_post(proposal[inside])
+            else:
+                for i in np.flatnonzero(inside):
+                    lp_prop[i] = log_post(proposal[i])
             log_ratio = (ndim - 1.0) * np.log(z) + lp_prop - lp[active]
             accept = np.log(rng.uniform(size=active.size)) < log_ratio
             x[active[accept]] = proposal[accept]

@@ -263,24 +263,6 @@ class TestEnsembleSampler:
             with pytest.raises(ParameterError, match=f"need at least one step, got {n_steps}"):
                 ensemble_sample(lambda x: 0.0, np.zeros(1), np.ones(1), 4, n_steps)
 
-    @pytest.mark.parametrize("shape", [(10, 2), (4, 2), (6, 3), (12,)])
-    def test_initial_of_the_wrong_shape(self, shape):
-        with pytest.raises(ParameterError, match=r"initial must have shape \(6, 2\)"):
-            ensemble_sample(lambda x: 0.0, np.zeros(2), np.ones(2), 6, 10,
-                            initial=np.full(shape, 0.5))
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan, np.inf])
-    def test_initial_outside_the_box_or_not_finite(self, bad):
-        initial = np.full((6, 2), 0.5)
-        initial[3, 1] = bad
-        with pytest.raises(ParameterError, match="finite and inside"):
-            ensemble_sample(lambda x: 0.0, np.zeros(2), np.ones(2), 6, 10, initial=initial)
-
-    def test_initial_on_the_box_edges_runs(self):
-        initial = np.tile([[0.0, 1.0], [1.0, 0.0]], (3, 1))
-        chain = ensemble_sample(lambda x: 0.0, np.zeros(2), np.ones(2), 6, 10, initial=initial)
-        assert np.all((chain.samples >= 0.0) & (chain.samples <= 1.0))
-
     def test_vectorized_log_post_gives_the_same_chain(self):
         # One call per half-ensemble update, with only the in-box proposals,
         # and the chain of the scalar form, bit for bit.
@@ -428,7 +410,8 @@ class TestPlateLogPosterior:
     def test_rejected_spectral_solve_falls_back_to_lu(self, monkeypatch, plate_small,
                                                       plate_small_noisy):
         # The solver rejects every other column; each rejected one, and only
-        # those, is solved by plate_displacements, in row order.
+        # those, is solved by plate_displacements, in row order, and gets the
+        # factoring path's value exactly.
         import calibrix.benchmarks as benchmarks
         from calibrix.mesh_fem import StiffnessDecomposition
 
@@ -453,7 +436,9 @@ class TestPlateLogPosterior:
         monkeypatch.setattr(benchmarks, "plate_displacements",
                             lambda *args: calls.append(args) or lu_displacements(*args))
         log_post = plate_log_posterior(plate_small, plate_small_noisy, 4e-4, lower, upper)
-        assert_allclose(log_post(kappas), expected, rtol=1e-10, atol=0.0)
+        values = log_post(kappas)
+        assert values[::2].tolist() == expected[::2]
+        assert_allclose(values[1::2], expected[1::2], rtol=1e-10, atol=0.0)
         assert [(E, nu) for _, E, nu in calls] == [tuple(k) for k in kappas[::2]]
 
     def test_no_spectrum_sends_every_column_to_lu(self, monkeypatch, plate_small,
@@ -474,7 +459,7 @@ class TestPlateLogPosterior:
         monkeypatch.setattr(benchmarks, "plate_displacements",
                             lambda *args: calls.append(args) or lu_displacements(*args))
         log_post = plate_log_posterior(case, plate_small_noisy, 4e-4, lower, upper)
-        assert_allclose(log_post(kappas), expected, rtol=1e-12, atol=0.0)
+        assert log_post(kappas).tolist() == expected
         assert len(calls) == len(kappas)
 
 
