@@ -7,7 +7,9 @@ an elastic-predictor / inelastic-corrector scheme whose corrector reduces to
 a single scalar equation through the radial-return structure of the model.
 The uniaxial driver reduces the model to one scalar recursion in the axial
 plastic strain: closed-form for the rate-independent limit, and one scalar
-viscous equation per step otherwise.
+viscous equation per step otherwise.  The 3x3 step and the uniaxial driver
+solve their viscous equation with one root solver, in a root form that
+converges for every overstress exponent r >= 1.
 """
 
 from __future__ import annotations
@@ -25,22 +27,27 @@ SIGMA_0 = 1.0  # N/mm^2
 
 _SQ23 = math.sqrt(2.0 / 3.0)
 _EYE3 = np.eye(3)
-# Relative bracket width (or, in the uniaxial viscous step, Newton step) at
-# which a corrector accepts its iterate.
+# Relative bracket width (or, in the viscous root, Newton step) at which a
+# corrector accepts its iterate.
 _BRACKET_RTOL = 4.0 * float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
 
 
 def _store_floats(params) -> None:
-    """Store each field of a frozen parameter dataclass as a Python float."""
+    """Store each field of a frozen parameter dataclass as a Python float;
+    raise ParameterError for a value that is not a finite real number."""
     for f in fields(params):
         value = getattr(params, f.name)
         try:
-            object.__setattr__(params, f.name, float(value))
+            x = float(value)
         except (TypeError, ValueError, OverflowError):
             raise ParameterError(f"{f.name} must be a real number, got {value!r}") from None
+        if not math.isfinite(x):
+            raise ParameterError(f"{f.name} must be finite, got {x}")
+        object.__setattr__(params, f.name, x)
 
 
 @dataclass(frozen=True)
@@ -197,103 +204,72 @@ def _solve_plastic_multiplier(naa, nab, nbb, G, pp: PlasticParams, dt):
 
     With theta = 1/(1 + b sqrt(2/3) dlam), the modified trial norm is
     |xi| = sqrt(naa - 2 theta nab + theta^2 nbb) - (2G + c theta) dlam.  The
-    rate-independent residual |xi| - sqrt(2/3) k is solved first, on a
-    bracket [0, hi] whose upper end doubles until the residual there is not
-    positive: its root closes the consistency condition for eta = 0 and
-    bounds the viscous root from above otherwise.  The viscous residual
-    dlam/dt - <f/SIGMA_0>^r/eta, with f = |xi|^2/2 - k^2/3, is then solved on
-    [0, dlam_ri].  One safeguarded-Newton loop finds both roots, evaluating
-    the residual and its derivative inline.  It bisects whenever a Newton
-    step leaves the bracket, and accepts the iterate once |residual| <= 1e-10
-    or the bracket has shrunk to machine precision (the residual is then
-    roundoff-limited); it raises IntegrationError after 50 iterates.
-    ``over**r`` that overflows a Python float counts as inf, as numpy scalars
-    return it, so such a step ends in that error.
+    rate-independent residual |xi| - sqrt(2/3) k is solved on a bracket
+    [0, hi] whose upper end doubles until the residual there is not positive,
+    by safeguarded Newton.  It bisects whenever a step leaves the bracket,
+    accepts the iterate once |residual| <= 1e-10 or the bracket has shrunk to
+    machine precision (the residual is then roundoff-limited), and raises
+    IntegrationError after 50 iterates.  For eta > 0 this root bounds the
+    viscous one, which :func:`_viscous_root` finds with a = eta/dt.
     """
-    k, c, r = pp.k, pp.c, pp.r
+    k, c = pp.k, pp.c
     bs = pp.b * _SQ23
     nbs = -pp.b * _SQ23
     g2 = 2.0 * G
     sq23k = _SQ23 * k
-    # viscous: which residual; newton: False while the bracket's ends are
-    # evaluated; grow: the rate-independent bracket's upper end is evaluated.
-    # Tests read ``not (a <= b)`` rather than ``a > b`` so that a NaN takes
-    # the branch it always took.
-    viscous = newton = grow = False
-    x = lo = hi = 0.0
-    while True:
+
+    def norm_xi(x):
+        # |xi| at x and its derivative, from one evaluation of theta.
         theta = 1.0 / (1.0 + bs * x)
         q = naa - 2.0 * theta * nab + theta * theta * nbb
         nhat = math.sqrt(0.0 if 0.0 > q else q)
         h = g2 + c * theta
-        nxi = nhat - h * x
-        if viscous:
-            over = (0.5 * nxi * nxi - k2_3) / SIGMA_0
-            if 0.0 > over:
-                over = 0.0
-            try:
-                p = over**r
-            except OverflowError:
-                p = math.inf
-            res = x / dt - inv_eta * p
+        dtheta = nbs * theta * theta
+        dnhat = ((theta * nbb - nab) * dtheta / nhat) if nhat > 0.0 else 0.0
+        return nhat - h * x, dnhat - h - c * dtheta * x
+
+    # A NaN residual passes none of the tests below, so it runs the
+    # iteration out and raises.
+    res = norm_xi(0.0)[0] - sq23k
+    if res <= _NEWTON_TOL:
+        return 0.0
+    lo, hi = 0.0, res / g2
+    while norm_xi(hi)[0] - sq23k > 0.0:
+        hi *= 2.0
+    x = 0.5 * hi
+    for _ in range(_NEWTON_MAX_ITER):
+        nxi, d = norm_xi(x)
+        res = nxi - sq23k
+        if -_NEWTON_TOL <= res <= _NEWTON_TOL:
+            break
+        if res > 0.0:
+            lo = x
         else:
-            res = nxi - sq23k
+            hi = x
+        # hi >= 0 (G > 0), so this is max(abs(hi), 1e-300).
+        if hi - lo <= _BRACKET_RTOL * (hi if hi > 1e-300 else 1e-300):
+            break
+        x_new = x - res / d if d != 0.0 else lo
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+    else:
+        raise IntegrationError(
+            f"plastic corrector did not converge in {_NEWTON_MAX_ITER} iterations "
+            f"(residual {norm_xi(x)[0] - sq23k:.3e})"
+        )
+    if pp.rate_independent:
+        return x
+    # At |residual| <= 1e-10, x can sit below a viscous root that ends the
+    # step within f's resolution of the yield surface; one more Newton step
+    # takes x to the rounding of |xi|, so that it bounds that root.
+    if d != 0.0:
+        x -= res / d
+    k2_3 = k * k / 3.0
 
-        if newton:
-            if it == _NEWTON_MAX_ITER:
-                raise IntegrationError(
-                    f"plastic corrector did not converge in {_NEWTON_MAX_ITER} iterations "
-                    f"(residual {res:.3e})"
-                )
-            it += 1
-            if not (-_NEWTON_TOL <= res <= _NEWTON_TOL):
-                # The residual keeps its sign at lo throughout.
-                if (res > 0.0) == pos_lo:
-                    lo = x
-                else:
-                    hi = x
-                # hi >= 0 (G > 0), so this is max(abs(hi), 1e-300).
-                if not (hi - lo <= _BRACKET_RTOL * (hi if hi > 1e-300 else 1e-300)):
-                    dtheta = nbs * theta * theta
-                    dnhat = ((theta * nbb - nab) * dtheta / nhat) if nhat > 0.0 else 0.0
-                    d = dnhat - h - c * dtheta * x
-                    if viscous:
-                        try:
-                            p = over**r1
-                        except OverflowError:
-                            p = math.inf
-                        d = inv_dt - inv_eta_r * p * (nxi * d / SIGMA_0)
-                    x_new = x - res / d if d != 0.0 else lo
-                    x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
-                    continue
-        elif viscous:  # the viscous residual at 0
-            if res >= -_NEWTON_TOL:
-                return 0.0
-            newton, pos_lo, lo, hi, it = True, res > 0.0, 0.0, dlam_ri, 0
-            x = 0.5 * (lo + hi)
-            continue
-        elif grow:  # the rate-independent residual at hi
-            if res > 0.0:
-                hi *= 2.0
-                x = hi
-                continue
-            newton, lo, it = True, 0.0, 0
-            x = 0.5 * (lo + hi)
-            continue
-        elif not (res <= _NEWTON_TOL):  # the rate-independent residual at 0
-            grow, pos_lo, hi = True, res > 0.0, res / g2
-            x = hi
-            continue
+    def overstress(dlam):
+        nxi, dnxi = norm_xi(dlam)
+        return (0.5 * nxi * nxi - k2_3) / SIGMA_0, nxi * dnxi / SIGMA_0
 
-        # x is the root of the current residual.
-        if viscous or pp.rate_independent:
-            return x
-        viscous, newton, dlam_ri, x = True, False, x, 0.0
-        k2_3 = k * k / 3.0
-        inv_dt = 1.0 / dt
-        inv_eta = 1.0 / pp.eta
-        inv_eta_r = inv_eta * r
-        r1 = r - 1.0
+    return _viscous_root(x, overstress, pp.eta / dt, pp.r)
 
 
 def integrate_viscoplastic_step(
@@ -347,35 +323,37 @@ def integrate_viscoplastic_step(
     return new_state, sigma
 
 
-def _viscous_increment(d_ri, phi, B, Eb, b, k, a, r):
-    """The increment D = |dp| of a viscous uniaxial step, in (0, d_ri].
+def _viscous_root(d_ri, overstress, a, r):
+    """The increment D in [0, d_ri] of a viscous step, where a D = <f/SIGMA_0>^r.
 
-    At the end of a step with increment D the overstress norm is
-    g(D) = (phi - B D - E b D^2)/(1 + b D), in the terms of
-    :func:`uniaxial_plastic_driver`, and f(D) = g(2k + g)/3 is the 3x3 model's
-    f = |xi|^2/2 - k^2/3, since |xi| = sqrt(2/3)|sigma - y|.  With
-    dlam = sqrt(3/2) D, the 3x3 viscous residual dlam/dt - <f/SIGMA_0>^r/eta
-    has the root of F(D) = f(D)/SIGMA_0 - (a D)^(1/r), a = eta sqrt(3/2)/dt,
-    which does not span hundreds of decades for large r.  F is positive at 0
-    (phi > 0) and negative at the rate-independent increment ``d_ri``.
+    ``overstress(D)`` returns f/SIGMA_0 at the end of a step with increment
+    D, f being the 3x3 model's |xi|^2/2 - k^2/3, and its derivative in D;
+    f = 0 at the rate-independent increment ``d_ri``.  The 3x3 step solves
+    for dlam with a = eta/dt, the uniaxial driver for |dp| with
+    a = eta sqrt(3/2)/dt.  The root form F = f/SIGMA_0 - (a D)^(1/r) does not
+    span hundreds of decades for large r; F > 0 at 0 and F <= 0 at ``d_ri``.
 
     Safeguarded Newton runs on w = (a D)^(1/r), from w at ``d_ri``, bisecting
-    whenever a step leaves the bracket: in w, F = f(w^r/a)/SIGMA_0 - w has
-    slope -1 at 0, where (a D)^(1/r) has an infinite one, so a root far below
-    ``d_ri`` takes a few iterates, not one bisection per halving.  It accepts
-    its iterate once |F| is within 4 ulp of max(f, w), or once the bracket or
-    the Newton step has shrunk to machine precision: f carries the rounding
-    of phi - B D, far above its ulp when the step ends close to the yield
-    surface.  It raises IntegrationError after 50 iterates.
+    whenever a step leaves the bracket: in w, F has slope -1 at 0, where
+    (a D)^(1/r) has an infinite one, so a root far below ``d_ri`` takes a few
+    iterates, not one bisection per halving.  It accepts its iterate once |F|
+    is within 4 ulp of max(f, w), or once the bracket or the Newton step has
+    shrunk to machine precision: f carries the rounding of the trial state,
+    far above its ulp when the step ends close to the yield surface.  Where a
+    overflows, D is f^r/a = 0.  It raises IntegrationError after 50 iterates,
+    and where a d_ri is not a normal float.
     """
-    two_k = 2.0 * k
-    lo, hi = 0.0, (a * d_ri) ** (1.0 / r)
-    w = hi
+    if a == math.inf or d_ri == 0.0:
+        return 0.0
+    ad = a * d_ri
+    if not _TINY <= ad < math.inf:
+        # A subnormal a d_ri has lost the digits that w^r/a needs.
+        raise IntegrationError(f"viscous step out of floating-point range (eta/dt = {a:.3e})")
+    lo, hi = 0.0, ad ** (1.0 / r)
+    w, f_old = hi, None
     for _ in range(_NEWTON_MAX_ITER):
         d = w**r / a
-        q = 1.0 + b * d
-        g = (phi - B * d - Eb * d * d) / q
-        f = g * (two_k + g) / (3.0 * SIGMA_0)
+        f, df = overstress(d)
         res = f - w
         if abs(res) <= _BRACKET_RTOL * (f if f > w else w):
             return d
@@ -383,10 +361,12 @@ def _viscous_increment(d_ri, phi, B, Eb, b, k, a, r):
             lo = w
         else:
             hi = w
-        if hi - lo <= _BRACKET_RTOL * hi:
+        if hi - lo <= _BRACKET_RTOL * hi or f == f_old:
+            # f == f_old: w moved and f did not, so F is flat at the
+            # rounding of f, and Newton's slope no longer describes it.
             return d
-        dg = (-B - 2.0 * Eb * d - b * g) / q
-        step = res / (2.0 * (k + g) * dg / (3.0 * SIGMA_0) * (r * d / w) - 1.0)
+        f_old = f
+        step = res / (df * (r * d / w) - 1.0)
         if abs(step) <= _BRACKET_RTOL * w:
             # A step below w's resolution still moves d: dD/D = r dw/w.
             return d - r * d * step / w
@@ -396,6 +376,22 @@ def _viscous_increment(d_ri, phi, B, Eb, b, k, a, r):
         f"plastic corrector did not converge in {_NEWTON_MAX_ITER} iterations "
         f"(residual {res:.3e})"
     )
+
+
+def _uniaxial_overstress(phi, B, Eb, b, k):
+    """``overstress`` of :func:`_viscous_root` for a step of
+    :func:`uniaxial_plastic_driver`: with increment D = |dp| the overstress
+    norm is g = (phi - B D - E b D^2)/(1 + b D), and f = g(2k + g)/3, since
+    |xi| = sqrt(2/3)|sigma - y|."""
+    two_k = 2.0 * k
+
+    def overstress(d):
+        q = 1.0 + b * d
+        g = (phi - B * d - Eb * d * d) / q
+        dg = (-B - 2.0 * Eb * d - b * g) / q
+        return g * (two_k + g) / (3.0 * SIGMA_0), 2.0 * (k + g) * dg / (3.0 * SIGMA_0)
+
+    return overstress
 
 
 def uniaxial_plastic_driver(
@@ -418,7 +414,7 @@ def uniaxial_plastic_driver(
     rate-independent increment D = |dp| is the positive root of
     E b D^2 + B D - phi = 0 with B = E + 1.5c - b(sign(xi*) s* - k), taken in
     its cancellation-free form; for eta > 0 the increment solves one scalar
-    viscous equation on (0, D] (:func:`_viscous_increment`).  The lateral
+    viscous equation on [0, D] (:func:`_viscous_root`).  The lateral
     strain follows from the elastic law and plastic incompressibility, and
     the final state is p diag(1, -1/2, -1/2) and (y/1.5) diag(1, -1/2, -1/2).
     This is the 3x3 model of :func:`integrate_viscoplastic_step` at the
@@ -466,7 +462,8 @@ def uniaxial_plastic_driver(
             root = math.sqrt(B * B + 4.0 * E * b * phi)
             d = 2.0 * phi / (B + root) if B >= 0.0 else (root - B) / (2.0 * E * b)
             if viscous:
-                d = _viscous_increment(d, phi, B, E * b, b, k, rate / dt_i, pp.r)
+                d = _viscous_root(d, _uniaxial_overstress(phi, B, E * b, b, k), rate / dt_i,
+                                 pp.r)
             p += s * d
             y = (y + c15 * s * d) / (1.0 + b * d)
             arc += d

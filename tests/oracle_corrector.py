@@ -1,11 +1,17 @@
 """The closure-based plastic corrector that ``materials._solve_plastic_multiplier``
-replaced, kept as its bit-for-bit oracle.
+replaced, kept as its oracle.
 
-Same equations, operations and operation order as the library's flat loop,
-written as the three nested closures (|xi| and its derivative, the
-rate-independent residual, the viscous residual) and the safeguarded-Newton
-helper it used to be.  Test-only; shares no code with the package beyond its
-constants and error type.
+Written as three nested closures (|xi| and its derivative, the
+rate-independent residual, the viscous residual) and a safeguarded-Newton
+helper.  For eta = 0 it runs the library's operations in the library's
+order, so the two agree bit for bit.  For eta > 0 it solves the viscous
+residual in power form, dlam/dt - <f/SIGMA_0>^r/eta, to an absolute 1e-10,
+where the library solves its root form f/SIGMA_0 = (eta dlam/dt)^(1/r) to
+relative precision.  With its residual test off (the tests'
+``converged_corrector``) it is the reference for the library's viscous
+increment, wherever the power form converges: it does not for most
+exponents r >= 5, and never where <f/SIGMA_0>^r overflows.  Test-only;
+shares no code with the package beyond its constants and error type.
 """
 
 import math
